@@ -19,33 +19,32 @@ Backward direction, parking function to forest:
      take the (jump+1)-th smallest label of its subtree;
   5. strip the super-root.
 
-Both relabeling procedures process each vertex exactly once, in any
-order, with the same result; the default is preorder.  When the order is
-left unspecified a faster equivalent path is used.  Along any
-ancestors-first sweep (preorder, breadth first, a reversed postorder),
-the current labels of the strict descendants of the vertex in hand
-always appear in the same relative order as their original labels: a
-step at an ancestor reassigns its descendants order-preservingly, and a
-step at an unrelated vertex does not touch them.  So the
-order-preserving reassignment can reuse precomputed sorted subtree lists
-instead of re-sorting current labels at every step.
+Both relabelings process each vertex once, in any order, with the same
+result (preorder by default): along any ancestors-first sweep, the
+current labels of the strict descendants of the vertex in hand keep the
+relative order of their names.  relabel_decreasing is inverse_relabel
+with every vertex asking for the top rank, and one top-down split does
+both.  Each vertex holds two aligned sorted lists, the names in its
+subtree and the labels they hold; it pops its label by rank, drops its
+name (at its inversion count), hands the lists to its largest child and
+bisects the other children's entries out.  An entry is bisected out
+only into a subtree at most half as large: O(n log n) interpreter steps
+in all.  The list shifts inside the pops run at C speed but can cost
+O(n) per vertex, so O(n^2) machine words on a path.
 
-Each map walks its tree once per direction.  Forward: one bottom-up
-pass merges the sorted subtree label lists, which give each subtree's
-size and maximum (hence the canonical child order) and each vertex's
-inversion count (its rank in its own list); one top-down sweep in the
-same breadth-first order then fixes the postorder positions, and the
-relabeling follows that order too.  Backward: the space word already
-lists the nearest-larger-right tree in postorder, so one stack pass over
-it yields the parent links and the subtree lists, and the word read
-backwards is the top-down order for undoing the relabeling.
+Forward, the map walks the tree breadth first from the super-root
+(finding cycles), up for subtree sizes and maxima (hence the canonical
+order), down for postorder positions, then splits.  Backward, the space
+word lists the nearest-larger-right tree in postorder: one stack pass
+gives parent links and subtree sizes, and the word read backwards is the
+top-down order of the split.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     InvalidInversionValueError,
@@ -53,7 +52,7 @@ from .errors import (
     NotParkingFunctionError,
     OutOfRangeError,
 )
-from .forest import Forest, OrderedTree, postorder, preorder
+from .forest import Forest, OrderedTree, postorder, preorder, validate_forest
 from .forest_stats import subtree_label_lists
 from .parking import is_parking_function, park
 
@@ -94,62 +93,81 @@ def _check_processing_order(order: Sequence[int], m: int) -> list[int]:
     return order
 
 
-def _relabel_down(order: Sequence[int], sub: Sequence[list], cur: list[int]) -> None:
-    """relabel_decreasing along an ancestors-first order, in place on cur.
+def _relabel(
+    children: Sequence[Sequence[int]],
+    size: Sequence[int],
+    end: Sequence[int],
+    po: Sequence[int],
+    down: Iterable[int],
+    targets: Sequence[int],
+) -> tuple[list[int], list[int]]:
+    """Both relabelings in one top-down pass, splitting small off large.
 
-    sub[v] is the sorted label list of the subtree of v.  Relies on the
-    invariant in the module docstring.
+    Each vertex v gets the (targets[v]+1)-th smallest label of its
+    subtree, as in inverse_relabel; size[v] - 1 asks for the largest, as
+    in relabel_decreasing.  po is a postorder, so the subtree of v is
+    po[end[v] - size[v]:end[v]]; down lists every vertex before its
+    children, root first.  Returns (labels, rank): the label of each
+    vertex, and the number of smaller vertices below each.
     """
-    for v in order:
-        s = sub[v]
-        if len(s) == 1:
-            continue
-        i = bisect_left(s, v)
-        desc = s[:i] + s[i + 1 :]  # strict descendants, label order
-        vals = [cur[u] for u in desc]  # ascending, see module docstring
-        top = vals[-1]
-        mine = cur[v]
-        if mine < top:
-            vals.pop()
-            insort(vals, mine)
-            cur[v] = top
-            for u, val in zip(desc, vals):
-                cur[u] = val
-
-
-def _inverse_relabel_down(
-    order: Sequence[int], sub: Sequence[list], targets: Sequence[int], cur: list[int]
-) -> None:
-    """inverse_relabel along an ancestors-first order, in place on cur."""
-    for v in order:
-        s = sub[v]
-        k = len(s)
+    m = len(po)
+    out = list(range(m + 1))
+    rank = [0] * (m + 1)
+    # vertex -> the names and labels of its subtree, until it is visited
+    got = {po[-1]: (out[1:], out[1:])}
+    for v in down:
         want = targets[v]
-        if not 0 <= want < k:
+        if not 0 <= want < size[v]:
             raise InvalidInversionValueError(
-                f"vertex {v} wants rank {want} in a subtree of size {k}"
+                f"vertex {v} wants rank {want} in a subtree of size {size[v]}"
             )
-        if k == 1:
+        ch = children[v]
+        if not ch:
+            continue  # a leaf's one label is written when its parent splits
+        names, labels = got.pop(v)
+        out[v] = labels.pop(want)
+        rank[v] = i = bisect_left(names, v)
+        del names[i]
+        if len(ch) == 1:
+            c = ch[0]
+            if size[c] == 1:
+                out[c] = labels[0]
+            else:
+                got[c] = names, labels
             continue
-        i = bisect_left(s, v)
-        desc = s[:i] + s[i + 1 :]
-        vals = [cur[u] for u in desc]  # ascending, see module docstring
-        mine = cur[v]
-        j = bisect_left(vals, mine)
-        if want == j:
-            continue  # v already holds the wanted rank
-        if want > j:
-            # mine enters at j, the (want+1)-th smallest leaves
-            taken = vals[want - 1]
-            vals[j + 1 : want] = vals[j : want - 1]
-            vals[j] = mine
+        big = max(ch, key=size.__getitem__)
+        for c in ch:
+            if c == big:
+                continue
+            if size[c] == 1:
+                i = bisect_left(names, c)
+                del names[i]
+                out[c] = labels.pop(i)
+                continue
+            sub = sorted(po[end[c] - size[c] : end[c]])
+            mine = []
+            for u in sub:
+                i = bisect_left(names, u)
+                del names[i]
+                mine.append(labels.pop(i))
+            got[c] = sub, mine
+        if size[big] == 1:
+            out[big] = labels[0]
         else:
-            taken = vals[want]
-            vals[want : j - 1] = vals[want + 1 : j]
-            vals[j - 1] = mine
-        cur[v] = taken
-        for u, val in zip(desc, vals):
-            cur[u] = val
+            got[big] = names, labels
+    return out, rank
+
+
+def _sized_postorder(t: OrderedTree) -> tuple:
+    """The postorder of t, and per vertex its subtree size and 1-based
+    position in it."""
+    po = postorder(t)
+    size = [1] * (t.root + 1)
+    end = [0] * (t.root + 1)
+    for i, v in enumerate(po, start=1):
+        size[t.parent[v]] += size[v]
+        end[v] = i
+    return po, size, end
 
 
 def relabel_decreasing(
@@ -160,28 +178,17 @@ def relabel_decreasing(
     Processing a vertex v hands v the largest current label in its
     subtree and redistributes the remaining subtree labels over the
     strict descendants without disturbing their relative order.  The
-    result does not depend on the processing order.
+    result does not depend on the processing order.  This is
+    inverse_relabel with every vertex asking for the top rank.
 
     Returns labels with labels[v] the new label of vertex v (labels[0]
     is a sentinel 0).
     """
-    m = t.root
-    cur = list(range(m + 1))
-    labels = subtree_label_lists(t.children, postorder(t))
-    if order is None:
-        _relabel_down(preorder(t), labels, cur)
-        return tuple(cur)
-    # Reference path: literal order-preserving reassignment at each step.
-    for v in _check_processing_order(order, m):
-        sub = labels[v]
-        i = bisect_left(sub, v)
-        desc = sub[:i] + sub[i + 1 :]
-        pool = sorted(cur[u] for u in sub)
-        by_current = sorted(desc, key=cur.__getitem__)
-        cur[v] = pool[-1]
-        for u, val in zip(by_current, pool):
-            cur[u] = val
-    return tuple(cur)
+    po, size, end = _sized_postorder(t)
+    targets = [s - 1 for s in size]
+    if order is not None:
+        return inverse_relabel(t, targets, order)
+    return tuple(_relabel(t.children, size, end, po, preorder(t), targets)[0])
 
 
 def inverse_relabel(
@@ -202,11 +209,12 @@ def inverse_relabel(
         raise MalformedInputError(
             f"need one target per vertex plus sentinel, got {len(targets)} for {m}"
         )
+    if order is None:
+        po, size, end = _sized_postorder(t)
+        return tuple(_relabel(t.children, size, end, po, preorder(t), targets)[0])
+    # Reference path: literal order-preserving reassignment at each step.
     cur = list(range(m + 1))
     labels = subtree_label_lists(t.children, postorder(t))
-    if order is None:
-        _inverse_relabel_down(preorder(t), labels, targets, cur)
-        return tuple(cur)
     for v in _check_processing_order(order, m):
         sub = labels[v]
         want = targets[v]
@@ -243,54 +251,53 @@ def apply_labeling(t: OrderedTree, labels: Sequence[int]) -> OrderedTree:
 def _forward(f: Forest) -> tuple:
     """The forward map with its intermediates, on the tree with super-root n+1.
 
-    Returns (prefs, label map, children, pos, inv, newlab), each list
-    indexed by vertex 1..n+1: children[v] in canonical order, pos[v] the
-    postorder position, inv[v] the inversion count, newlab[v] the new
-    label (the car of v).
+    Returns (prefs, label map, children, po, pos, inv, newlab): po the
+    postorder, and each other list indexed by vertex 1..n+1: children[v]
+    in canonical order, pos[v] the postorder position, inv[v] the
+    inversion count, newlab[v] the new label (the car of v).
     """
     parent = f.parent
     n = len(parent)
     m = n + 1
     children: list[list[int]] = [[] for _ in range(m + 1)]
+    # Forest does not validate.  On a bad parent sequence, validate_forest
+    # raises its own error for it.
     for v, p in enumerate(parent, start=1):
+        if not 0 <= p <= n:
+            validate_forest(parent)
         children[p or m].append(v)
     order = [m]  # breadth first, so ancestors first
     extend = order.extend
     for v in order:
         extend(children[v])
-    # Up: sorted subtree label lists; their last entries order the children.
-    sub: list = [None] * (m + 1)
-
-    def submax(c: int) -> int:
-        return sub[c][-1]
-
-    for v in reversed(order):
-        lst = [v]
-        ch = children[v]
-        if ch:
-            for c in ch:
-                lst += sub[c]
-            lst.sort()
-            if len(ch) > 1:
-                ch.sort(key=submax, reverse=True)
-        sub[v] = lst
+    if len(order) < m:  # a vertex that never reaches a root
+        validate_forest(parent)
+    # Up: subtree sizes and maxima; the maxima give the canonical order.
+    size = [1] * (m + 1)
+    top = list(range(m + 1))
+    for v in order[:0:-1]:
+        p = parent[v - 1] or m
+        size[p] += size[v]
+        if top[v] > top[p]:
+            top[p] = top[v]
     # Down: pos[v] holds the first postorder position of the subtree of v
     # until v is visited, and the position of v itself from then on.
     pos = [0] * (m + 1)
     pos[m] = 1
-    inv = [0] * (m + 1)
+    po = [0] * (m + 1)
     for v in order:
         ch = children[v]
-        if ch:  # a leaf starts and ends its subtree, without inversions
+        if ch:  # a leaf starts and ends its subtree
+            if len(ch) > 1:
+                ch.sort(key=top.__getitem__, reverse=True)
             s = pos[v]
             for c in ch:
                 pos[c] = s
-                s += len(sub[c])
+                s += size[c]
             pos[v] = s
-            inv[v] = bisect_left(sub[v], v)
-    # The super-root already holds the top label, so relabel below it.
-    newlab = list(range(m + 1))
-    _relabel_down(order[1:], sub, newlab)
+        po[pos[v] - 1] = v
+    del po[m]
+    newlab, inv = _relabel(children, size, pos, po, order, [s - 1 for s in size])
     # The super-root keeps label n+1 and, last in postorder with n
     # inversions, would prefer space 1; that car carries no information.
     prefs = [0] * n
@@ -300,7 +307,7 @@ def _forward(f: Forest) -> tuple:
         prefs[j - 1] = pos[v] - inv[v]
         to_vertex[j] = v
     lmap = LabelMap(tuple(newlab[:m]), tuple(to_vertex))
-    return tuple(prefs), lmap, children, pos, inv, newlab
+    return tuple(prefs), lmap, children, po, pos, inv, newlab
 
 
 def forest_to_parking(f: Forest) -> tuple[tuple[int, ...], LabelMap]:
@@ -355,25 +362,23 @@ def _backward(p: Sequence[int]) -> tuple:
         word[s - 1] = c
     jumps = [0] + [s - q for s, q in zip(slots, prefs)]
     # The word lists the nearest-larger-right tree in postorder: each car
-    # adopts the smaller cars it pops, and its subtree list is theirs
-    # merged, topped by the car itself.
+    # adopts the smaller cars it pops.
     tparent = [0] * (m + 1)
-    sub: list = [None] * (m + 1)
+    size = [1] * (m + 1)
+    children: list = [()] * (m + 1)
     stack: list[int] = []
     for car in word:
-        lst: list[int] = []
-        while stack and stack[-1] < car:
-            c = stack.pop()
-            tparent[c] = car
-            lst += sub[c]
-        lst.sort()
-        lst.append(car)
-        sub[car] = lst
+        if stack and stack[-1] < car:
+            kids = []
+            while stack and stack[-1] < car:
+                c = stack.pop()
+                tparent[c] = car
+                kids.append(c)
+                size[car] += size[c]
+            children[car] = kids
         stack.append(car)
-    # The final car parks in space n+1 with jump n, so the super-root
-    # keeps the top label; undo the relabeling below it.
-    orig = list(range(m + 1))
-    _inverse_relabel_down(word[-2::-1], sub, jumps, orig)
+    # A car's space is its position in the word.
+    orig = _relabel(children, size, (0,) + slots, word, reversed(word), jumps)[0]
     return prefs, slots, word, jumps, tparent, orig
 
 
@@ -403,10 +408,7 @@ def parking_to_forest(p: Sequence[int]) -> tuple[Forest, LabelMap]:
 def map_trace(f: Forest) -> dict:
     """Every intermediate quantity of the forward map, JSON-ready."""
     n = f.n
-    prefs, lmap, children, pos, inv, newlab = _forward(f)
-    po = [0] * (n + 1)
-    for v in range(1, n + 2):
-        po[pos[v] - 1] = v
+    prefs, lmap, children, po, pos, inv, newlab = _forward(f)
     rows = [
         {
             "vertex": v,

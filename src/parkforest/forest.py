@@ -14,7 +14,7 @@ rooted tree on 1..n+1 whose root n+1 adopts the forest roots as children.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CycleError, OutOfRangeError, RootLabelError, SelfParentError
 
@@ -220,18 +220,3 @@ def preorder(t: OrderedTree) -> tuple[int, ...]:
         if ch:
             stack.extend(reversed(ch))
     return tuple(out)
-
-
-def forest_of_tree(t: OrderedTree) -> Forest:
-    """Forget the super-root and the drawing order, keeping the labels."""
-    of = strip_super_root(t)
-    return Forest(of.parent)
-
-
-def forests_equal(a: Forest, b: Forest) -> bool:
-    return a.parent == b.parent
-
-
-def parse_parent_sequence(values: Iterable[int]) -> Forest:
-    """validate_forest under a name that reads well at call sites."""
-    return validate_forest(list(values))

@@ -82,7 +82,7 @@ def subtree_label_lists(
     """Per vertex, the sorted list of labels in its subtree (self included).
 
     Unlike inversion_counts this keeps every list alive, which is what the
-    relabeling procedures need.
+    literal reference path of the relabelings needs.
     """
     m = len(children) - 1
     labels: list = [None] * (m + 1)
@@ -104,7 +104,6 @@ def forest_stats(f: Forest) -> ForestStats:
     inv_type = [0] * (n + 1)
     for k in inv_at:
         inv_type[k] += 1
-    assert n == 0 or inv_type[n] == 0, "a vertex has at most n-1 inversions"
     leaders = tuple(v for v in range(1, n + 1) if inv[v] == 0)
     return ForestStats(
         n=n,

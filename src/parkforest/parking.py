@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from .errors import NotParkingFunctionError, OutOfRangeError
@@ -73,25 +74,26 @@ def park(prefs: Sequence[int]) -> ParkOutcome:
     cars.  Letting the outcome spill past space n is deliberate: the
     spill is how a sequence fails the parking test.
     """
-    n = len(prefs)
-    # A car rolls past at most the n-1 cars ahead of it, so no slot
-    # beyond max(prefs) + n - 1 is ever reached.
-    top = max(max(prefs, default=0), 0) + n + 1
-    occupied = bytearray(top)
+    # Union-find "next free space" with path compression (Tarjan 1975):
+    # nxt[s] is set exactly when space s is taken, and points at a space
+    # no further right than the first free one after s.  Memory is one
+    # entry per car, whatever the preference values.  A non-integer
+    # preference is a TypeError, raised before any car parks.
+    nxt: dict[int, int] = {}
     slots = []
     append = slots.append
-    hi = 0
-    for c, p in enumerate(prefs, start=1):
+    for c, p in enumerate(list(map(index, prefs)), start=1):
         if p < 1:
             raise OutOfRangeError(f"car {c} prefers space {p}; spaces start at 1")
         s = p
-        while occupied[s]:
-            s += 1
-        occupied[s] = 1
+        if s in nxt:  # taken: find the first free space, then compress
+            while s in nxt:
+                s = nxt[s]
+            while p != s:
+                nxt[p], p = s + 1, nxt[p]
+        nxt[s] = s + 1
         append(s)
-        if s > hi:
-            hi = s
-    return ParkOutcome(tuple(slots), hi)
+    return ParkOutcome(tuple(slots), max(slots, default=0))
 
 
 def is_parking_function(prefs: Sequence[int]) -> bool:
@@ -163,7 +165,6 @@ def parking_stats(prefs: Sequence[int]) -> ParkingStats:
     jump_type = [0] * (n + 1)
     for j in jump_at:
         jump_type[j] += 1
-    assert n == 0 or jump_type[n] == 0, "a car jumps at most n-1 spaces"
     lucky_cars = tuple(c for c, j in enumerate(jump_at, start=1) if j == 0)
     word = [0] * n
     for c, s in enumerate(slots, start=1):

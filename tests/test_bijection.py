@@ -1,15 +1,19 @@
 """The two directions of the map, the relabelings, and their goldens."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parkforest import (
+    CycleError,
     Forest,
     InvalidInversionValueError,
     MalformedInputError,
     NotParkingFunctionError,
+    OutOfRangeError,
+    SelfParentError,
     all_forests,
     apply_labeling,
     attach_super_root,
@@ -20,9 +24,11 @@ from parkforest import (
     nearest_larger_right_tree,
     parking_to_forest,
     postorder,
+    preorder,
     sample_forest,
     sample_parking_function,
     relabel_decreasing,
+    validate_forest,
 )
 from parkforest.bijection import map_trace, unmap_trace
 
@@ -293,3 +299,94 @@ def test_forward_overlay_invariants():
         for v in range(1, m + 1):
             p = t.parent[v]
             assert rebuilt.parent[lab[v]] == (lab[p] if p else 0)
+
+
+DEEP_SHAPES = ["path_up", "path_down", "caterpillar", "broom", "star", "binary"]
+
+
+def deep_forest(shape, n, seed=0):
+    """A deep (or, for the star and the binary tree, shallow) forest on n
+    vertices.
+
+    The paths keep their labels in order; the other shapes are drawn on
+    positions 0..n-1 (entry i the parent position, -1 for the root) and
+    then labeled at random.
+    """
+    if shape == "path_up":
+        return Forest(tuple(range(n)))
+    if shape == "path_down":
+        return Forest(tuple(range(2, n + 1)) + (0,))
+    half = n // 2
+    spine = [i - 1 for i in range(half)]
+    if shape == "caterpillar":  # a leg on every spine vertex
+        shape_of = spine + list(range(n - half))
+    elif shape == "broom":  # every other vertex on the end of the handle
+        shape_of = spine + [half - 1] * (n - half)
+    elif shape == "star":
+        shape_of = [-1] + [0] * (n - 1)
+    else:  # complete binary tree: children with children of their own
+        shape_of = [(i - 1) // 2 for i in range(n)]
+    name = list(range(1, n + 1))
+    random.Random(seed).shuffle(name)
+    parent = [0] * n
+    for i, q in enumerate(shape_of):
+        parent[name[i] - 1] = name[q] if q >= 0 else 0
+    return Forest(tuple(parent))
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_relabel_default_matches_literal_on_deep_shapes(shape):
+    t = attach_super_root(canonical_order(deep_forest(shape, 200)))
+    lab = relabel_decreasing(t)
+    assert lab == relabel_decreasing(t, preorder(t))
+    d = apply_labeling(t, lab)
+    inv = inversion_counts(t.children, postorder(t))
+    targets = [0] * (d.root + 1)
+    for v in range(1, t.root + 1):
+        targets[lab[v]] = inv[v]
+    orig = inverse_relabel(d, targets)
+    assert orig == inverse_relabel(d, targets, preorder(d))
+    assert apply_labeling(d, orig) == t
+
+
+@pytest.mark.parametrize(
+    "parent, error",
+    [
+        ((2, 1), CycleError),
+        ((2, 3, 1, 0), CycleError),
+        ((1,), SelfParentError),
+        ((0, 3, 3), SelfParentError),
+        ((-1, 0), OutOfRangeError),
+        ((0, 3), OutOfRangeError),
+        ((5, 0), OutOfRangeError),
+    ],
+)
+def test_forward_rejects_what_validate_forest_rejects(parent, error):
+    # Forest does not validate.  The map raises the error validate_forest
+    # raises, instead of taking a bad parent for a root, failing on an
+    # index, or returning a sequence that does not park.
+    with pytest.raises(error) as expected:
+        validate_forest(parent)
+    for fn in (forest_to_parking, map_trace):
+        with pytest.raises(error) as got:
+            fn(Forest(parent))
+        assert str(got.value) == str(expected.value)
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", ["path_up", "path_down", "caterpillar", "broom"])
+def test_map_memory_is_linear_on_deep_shapes(shape):
+    # Counts bytes, not time.  Quadratic memory would grow 16-fold from
+    # n = 1000 to n = 4000; linear memory grows 4-fold.
+    small, large = deep_forest(shape, 1000), deep_forest(shape, 4000)
+    assert peak_bytes(forest_to_parking, large) <= 6 * peak_bytes(forest_to_parking, small)
+    p_small, p_large = forest_to_parking(small)[0], forest_to_parking(large)[0]
+    assert peak_bytes(parking_to_forest, p_large) <= 6 * peak_bytes(parking_to_forest, p_small)

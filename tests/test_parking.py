@@ -1,6 +1,7 @@
 """Parking algorithm, recognizers, car statistics, uniform sampler."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -193,3 +194,42 @@ def test_park_outcome_bounds(prefs):
     assert len(set(slots)) == len(slots)  # one car per space
     for i, (p, s) in enumerate(zip(prefs, slots), start=1):
         assert p <= s <= p + (i - 1)  # can only roll past earlier cars
+
+
+def park_by_probing(prefs):
+    """Reference parking: each car walks right one space at a time."""
+    taken = set()
+    slots = []
+    for p in prefs:
+        s = p
+        while s in taken:
+            s += 1
+        taken.add(s)
+        slots.append(s)
+    return tuple(slots)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=40), max_size=30))
+def test_park_matches_linear_probing(prefs):
+    # Preferences reach past the number of cars, so cars spill past n.
+    out = park(prefs)
+    assert out.slots == park_by_probing(prefs)
+    assert out.max_space == max(out.slots, default=0)
+
+
+@pytest.mark.parametrize("prefs", [(1.5, 1), (0, 1.5), (1, 2.0), (1, "2")])
+def test_park_rejects_a_non_integer_preference(prefs):
+    # Checked before any car parks: (0, 1.5) is a TypeError, not an
+    # OutOfRangeError.
+    with pytest.raises(TypeError):
+        park(prefs)
+
+
+def test_park_memory_does_not_grow_with_preference_values():
+    tracemalloc.start()
+    try:
+        assert park((10**8, 1)).slots == (10**8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

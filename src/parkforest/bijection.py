@@ -67,10 +67,6 @@ class LabelMap:
     to_car: tuple[int, ...]
     to_vertex: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.to_car) - 1
-
     def car_of(self, v: int) -> int:
         return self.to_car[v]
 

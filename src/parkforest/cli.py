@@ -67,63 +67,64 @@ def _read_text(args: argparse.Namespace) -> str:
     return args.input
 
 
-def _ints(text: str) -> list[int]:
-    parts = text.replace(",", " ").split()
-    try:
-        return [int(x) for x in parts]
-    except ValueError as exc:
-        raise MalformedInputError(f"expected integers, got {text!r}") from exc
+def _int(x) -> int:
+    """One input integer, in every input form: a JSON integer or a decimal
+    string.  A float, a boolean or a null is malformed."""
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    elif isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise MalformedInputError(f"expected integers, got {x!r}")
+
+
+def _ints(values) -> list[int]:
+    if not isinstance(values, list):
+        raise MalformedInputError(f"expected a sequence of integers, got {values!r}")
+    return [_int(x) for x in values]
 
 
 def parse_input(text: str) -> tuple[str, list[int]]:
     """Classify input text as ('forest', parents) or ('parking', prefs)."""
     text = text.strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedInputError(f"bad JSON: {exc}") from exc
-        if "parent" in obj:
-            kind, values = "forest", obj["parent"]
-        elif "parking" in obj:
-            kind, values = "parking", obj["parking"]
-        else:
-            raise MalformedInputError('JSON object needs a "parent" or "parking" key')
-        values = [int(x) for x in values]
-        if "n" in obj and int(obj["n"]) != len(values):
-            raise MalformedInputError(
-                f'"n" is {obj["n"]} but the sequence has length {len(values)}'
-            )
-        return kind, values
-    if text.startswith("["):
-        try:
-            values = [int(x) for x in json.loads(text)]
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise MalformedInputError(f"bad JSON array: {exc}") from exc
     else:
-        values = _ints(text)
-    return ("forest" if 0 in values else "parking"), values
+        obj = text.replace(",", " ").split()
+    if isinstance(obj, list):
+        values = _ints(obj)
+        return ("forest" if 0 in values else "parking"), values
+    if "parent" in obj:
+        kind, values = "forest", _ints(obj["parent"])
+    elif "parking" in obj:
+        kind, values = "parking", _ints(obj["parking"])
+    else:
+        raise MalformedInputError('JSON object needs a "parent" or "parking" key')
+    if "n" in obj and _int(obj["n"]) != len(values):
+        raise MalformedInputError(
+            f'"n" is {obj["n"]} but the sequence has length {len(values)}'
+        )
+    return kind, values
+
+
+def _parse(text: str, want: str, message: str) -> list[int]:
+    """parse_input, rejecting the other kind of input with message."""
+    kind, values = parse_input(text)
+    if kind != want:
+        raise MalformedInputError(message)
+    return values
 
 
 def _parse_forest(text: str) -> Forest:
-    kind, values = parse_input(text)
-    if kind != "forest":
-        # A forest without roots cannot exist, so a 0-free plain sequence
-        # only reaches here when the user really meant a parent sequence.
-        raise MalformedInputError(
-            "expected a parent sequence (with 0 for roots) or a "
-            '{"parent": [...]} object'
-        )
-    return validate_forest(values)
-
-
-def _parse_prefs(text: str) -> tuple[int, ...]:
-    kind, values = parse_input(text)
-    if kind != "parking":
-        raise MalformedInputError(
-            'expected a preference sequence or a {"parking": [...]} object'
-        )
-    return tuple(values)
+    # A forest without roots cannot exist, so a 0-free plain sequence
+    # only reaches here when the user really meant a parent sequence.
+    message = 'expected a parent sequence (with 0 for roots) or a {"parent": [...]} object'
+    return validate_forest(_parse(text, "forest", message))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_unmap(args) -> int:
-    p = _parse_prefs(_read_text(args))
+    message = 'expected a preference sequence or a {"parking": [...]} object'
+    p = tuple(_parse(_read_text(args), "parking", message))
     if args.trace:
         trace = unmap_trace(p)
         if args.json:
@@ -198,10 +200,8 @@ def _cmd_unmap(args) -> int:
 
 
 def _cmd_pa(args) -> int:
-    kind, values = parse_input(_read_text(args))
-    if kind != "parking":
-        raise MalformedInputError("the parking algorithm wants preferences, not a forest")
-    prefs = tuple(values)
+    message = "the parking algorithm wants preferences, not a forest"
+    prefs = tuple(_parse(_read_text(args), "parking", message))
     outcome = park(prefs)
     n = len(prefs)
     is_pf = outcome.max_space <= n

@@ -39,10 +39,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .bijection import forest_to_parking, parking_to_forest
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, OutOfRangeError
 from .forest import Forest
 from .forest_stats import forest_stats
 from .parking import is_parking_function, parking_stats
@@ -82,6 +82,11 @@ def forest_count(n: int) -> int:
     return (n + 1) ** (n - 1) if n > 0 else 1
 
 
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise OutOfRangeError(f"sizes start at 0, got n = {n}")
+
+
 def _parent_choices(n: int) -> list[tuple[int, ...]]:
     return [tuple(p for p in range(n + 1) if p != v) for v in range(1, n + 1)]
 
@@ -112,6 +117,7 @@ def all_forests(n: int, first_parent: int | None = None) -> Iterator[Forest]:
     first_parent restricts to forests where vertex 1 has that parent,
     which is how parallel verification splits the work.
     """
+    _check_size(n)
     if n > MAX_ENUMERATION_N:
         raise BudgetExceededError(
             f"full forest sweeps stop at n = {MAX_ENUMERATION_N}, got {n}"
@@ -133,6 +139,7 @@ def all_forests(n: int, first_parent: int | None = None) -> Iterator[Forest]:
 
 def all_parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     """Every parking function of length n, by filtering all sequences."""
+    _check_size(n)
     if n > MAX_ENUMERATION_N:
         raise BudgetExceededError(
             f"full parking-function sweeps stop at n = {MAX_ENUMERATION_N}, got {n}"
@@ -187,29 +194,38 @@ def _check_forest(f: Forest) -> tuple[tuple[int, ...] | None, int, int]:
     return p, bad_round, bad_stats
 
 
-def _verify_slice(args: tuple[int, int | None]) -> tuple[int, int, int, int, dict]:
-    """The forest pass over one share of the forests.
+def _forest_pass(
+    forests: Iterable[Forest], table: dict | None = None
+) -> tuple[int, int, int, int]:
+    """Every forest through _check_forest, tallied.
 
-    Returns (forests, roundtrip failures, stat mismatches, hits, table):
-    hits counts the forests whose image is a parking function, and table
-    maps each image to whether some forest with that image came back to
-    itself.
+    Returns (forests, roundtrip failures, stat mismatches, hits): hits
+    counts the forests whose image is a parking function.  A given table
+    is filled with each image and whether some forest with that image
+    came back to itself.
     """
-    n, first_parent = args
-    forests = 0
+    count = 0
     hits = 0
     bad_round = 0
     bad_stats = 0
-    table: dict[tuple[int, ...], bool] = {}
-    for f in all_forests(n, first_parent):
-        forests += 1
+    for f in forests:
+        count += 1
         p, br, bs = _check_forest(f)
         bad_round += br
         bad_stats += bs
         if p is not None:
             hits += 1
-            table[p] = table.get(p, False) or not br
-    return forests, bad_round, bad_stats, hits, table
+            if table is not None:
+                table[p] = table.get(p, False) or not br
+    return count, bad_round, bad_stats, hits
+
+
+def _verify_slice(args: tuple[int, int | None]) -> tuple[tuple[int, ...], dict]:
+    """The forest pass over all_forests(n, first_parent): its tallies and
+    its image table."""
+    n, first_parent = args
+    table: dict[tuple[int, ...], bool] = {}
+    return _forest_pass(all_forests(n, first_parent), table), table
 
 
 def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
@@ -224,16 +240,14 @@ def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
         slices = [(n, fp) for fp in range(n + 1) if fp != 1]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_verify_slice, slices))
-        forests = sum(p[0] for p in parts)
-        bad_round = sum(p[1] for p in parts)
-        bad_stats = sum(p[2] for p in parts)
-        hits = sum(p[3] for p in parts)
-        table: dict = {}
-        for part in parts:
-            for p, held in part[4].items():
-                table[p] = table.get(p, False) or held
     else:
-        forests, bad_round, bad_stats, hits, table = _verify_slice((n, None))
+        parts = [_verify_slice((n, None))]
+    tallies = [part_tallies for part_tallies, _ in parts]
+    forests, bad_round, bad_stats, hits = map(sum, zip(*tallies))
+    table: dict = {}
+    for _, part_table in parts:
+        for p, held in part_table.items():
+            table[p] = table.get(p, False) or held
     # Distinctness and coverage: injectivity plus an image count matching
     # the independent enumeration makes the map onto.
     bad_round += hits - len(table)
@@ -267,25 +281,24 @@ def sample_forest(n: int, rng: random.Random) -> Forest:
     Uniform forests correspond to uniform trees on n+1 vertices, and
     those to uniform code sequences in {1..n+1}^(n-1): decode one, root
     the tree at n+1, drop that root.
+
+    The root n+1 is never the smallest leaf, so it stays until the end:
+    each leaf the decoder removes hangs on its code entry, the last one
+    on the root.
     """
-    if n == 0:
-        return Forest(())
-    if n == 1:
-        return Forest((0,))
+    _check_size(n)
     m = n + 1
     seq = [rng.randint(1, m) for _ in range(n - 1)]
     deg = [1] * (m + 1)
-    deg[0] = 0
     for x in seq:
         deg[x] += 1
-    adj: list[list[int]] = [[] for _ in range(m + 1)]
+    parent = [0] * (m + 1)
     ptr = 1
     while deg[ptr] != 1:
         ptr += 1
     leaf = ptr
     for x in seq:
-        adj[leaf].append(x)
-        adj[x].append(leaf)
+        parent[leaf] = x
         deg[x] -= 1
         if deg[x] == 1 and x < ptr:
             leaf = x
@@ -294,37 +307,16 @@ def sample_forest(n: int, rng: random.Random) -> Forest:
             while deg[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    adj[leaf].append(m)
-    adj[m].append(leaf)
-    # Orient everything toward the root m, then forget it.
-    parent = [0] * (m + 1)
-    seen = bytearray(m + 1)
-    seen[m] = 1
-    stack = [m]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = 1
-                parent[u] = v
-                stack.append(u)
-    return Forest(tuple(0 if parent[v] == m else parent[v] for v in range(1, n + 1)))
+    return Forest(tuple(0 if p == m else p for p in parent[1:m]))
 
 
 def verify_random(n: int, count: int, seed: int | None = None) -> VerificationReport:
     """Spot-check the bijection on random forests at sizes too big to sweep."""
     start = time.perf_counter()
     rng = random.Random(seed)
-    bad_round = 0
-    bad_stats = 0
-    pf_hits = 0
-    for _ in range(count):
-        f = sample_forest(n, rng)
-        p, br, bs = _check_forest(f)
-        bad_round += br
-        bad_stats += bs
-        if p is not None:
-            pf_hits += 1
+    _, bad_round, bad_stats, pf_hits = _forest_pass(
+        sample_forest(n, rng) for _ in range(count)
+    )
     elapsed = int(round((time.perf_counter() - start) * 1000))
     return VerificationReport(
         n=n,

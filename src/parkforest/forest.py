@@ -2,10 +2,11 @@
 
 A forest on n vertices labeled 1..n is stored as a parent sequence:
 parent[v-1] is the parent of vertex v, with 0 standing for "v is a root".
-Every function here treats vertex labels as significant; the canonical
+Every function here treats vertex labels as significant.  The canonical
 drawing order (children and root list sorted by decreasing subtree
-maximum) is what makes the forest-to-parking-function map injective, so
-it is fixed here once and reused everywhere else.
+maximum) is what makes the forest-to-parking-function map injective;
+canonical_order is its reference, which the tests compare the map
+against, and bijection._forward computes the same order on its own.
 
 The super-root operations convert between a forest on 1..n and a single
 rooted tree on 1..n+1 whose root n+1 adopts the forest roots as children.
@@ -32,9 +33,6 @@ class Forest:
     @property
     def n(self) -> int:
         return len(self.parent)
-
-    def parent_of(self, v: int) -> int:
-        return self.parent[v - 1]
 
 
 @dataclass(frozen=True)
@@ -68,10 +66,6 @@ class OrderedTree:
     root: int
     parent: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return self.root
 
 
 def validate_forest(parent: Sequence[int]) -> Forest:
@@ -114,24 +108,14 @@ def children_lists(parent: Sequence[int]) -> list[list[int]]:
 def subtree_maxima(parent: Sequence[int]) -> list[int]:
     """Largest label in the subtree of each vertex (index 0 unused).
 
-    Works bottom up without recursion: a vertex is folded into its parent
-    once all of its own children have been folded in.
+    Folds each vertex into its parent along bottom_up_order, so a vertex
+    is folded in only once all of its own children have been.
     """
-    n = len(parent)
-    submax = list(range(n + 1))
-    pending = [0] * (n + 1)
-    for p in parent:
-        pending[p] += 1
-    ready = [v for v in range(1, n + 1) if pending[v] == 0]
-    while ready:
-        v = ready.pop()
+    submax = list(range(len(parent) + 1))
+    for v in bottom_up_order(parent):
         p = parent[v - 1]
         if submax[v] > submax[p]:
             submax[p] = submax[v]
-        if p:
-            pending[p] -= 1
-            if pending[p] == 0:
-                ready.append(p)
     return submax
 
 

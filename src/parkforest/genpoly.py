@@ -29,9 +29,10 @@ and collapse under q0 -> u, qk -> q^k to bivariate summaries.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, OutOfRangeError
 from .exhaustive import all_forests, all_parking_functions
 from .forest_stats import forest_stats
 from .parking import parking_stats
@@ -176,9 +177,6 @@ class GenPoly:
         seen = {v for k in self.terms for v, _ in k}
         return sorted(seen, key=_var_sort_key)
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in k) for k in self.terms), default=0)
-
     def as_terms(self) -> list[dict]:
         """JSON-ready term list, sorted by total degree then variables."""
         rows = []
@@ -217,44 +215,35 @@ class GenPoly:
 # Statistic generating polynomials
 
 
-def inversion_type_poly(n: int) -> GenPoly:
-    """Sum over forests of q0^t[0]*...*q(n-1)^t[n-1] * c^components."""
+def _tally(names: Sequence[str], keys: Iterable[tuple[int, ...]]) -> GenPoly:
+    """Sum over keys of names[0]^key[0] * names[1]^key[1] * ...
+
+    The names are distinct, so distinct keys give distinct monomials and
+    each key's count is its coefficient.
+    """
+    counts = Counter(keys)
+    return GenPoly({_make_key(dict(zip(names, k))): counts[k] for k in counts})
+
+
+def _type_poly(n: int, keys: Iterable[tuple[int, ...]]) -> GenPoly:
+    """q0^t[0] * ... * q(n-1)^t[n-1] * c^k over keys t[0], ..., t[n-1], k."""
     if n > MAX_TYPE_POLY_N:
         raise BudgetExceededError(
             f"type polynomials stop at n = {MAX_TYPE_POLY_N}, got {n}"
         )
-    counts: dict[tuple, int] = {}
-    for f in all_forests(n):
-        fs = forest_stats(f)
-        key = (fs.inv_type[:-1], fs.tree)
-        counts[key] = counts.get(key, 0) + 1
-    total = GenPoly()
-    for (tvec, tree), mult in counts.items():
-        expo = {f"q{k}": e for k, e in enumerate(tvec) if e}
-        if tree:
-            expo["c"] = tree
-        total = total + GenPoly.monomial(expo, mult)
-    return total
+    return _tally([f"q{k}" for k in range(n)] + ["c"], keys)
+
+
+def inversion_type_poly(n: int) -> GenPoly:
+    """Sum over forests of q0^t[0]*...*q(n-1)^t[n-1] * c^components."""
+    stats = map(forest_stats, all_forests(n))
+    return _type_poly(n, (fs.inv_type[:-1] + (fs.tree,) for fs in stats))
 
 
 def jump_type_poly(n: int) -> GenPoly:
     """Sum over parking functions of q0^t[0]*... * c^critical."""
-    if n > MAX_TYPE_POLY_N:
-        raise BudgetExceededError(
-            f"type polynomials stop at n = {MAX_TYPE_POLY_N}, got {n}"
-        )
-    counts: dict[tuple, int] = {}
-    for p in all_parking_functions(n):
-        ps = parking_stats(p)
-        key = (ps.jump_type[:-1], ps.critic)
-        counts[key] = counts.get(key, 0) + 1
-    total = GenPoly()
-    for (tvec, crit), mult in counts.items():
-        expo = {f"q{k}": e for k, e in enumerate(tvec) if e}
-        if crit:
-            expo["c"] = crit
-        total = total + GenPoly.monomial(expo, mult)
-    return total
+    stats = map(parking_stats, all_parking_functions(n))
+    return _type_poly(n, (ps.jump_type[:-1] + (ps.critic,) for ps in stats))
 
 
 def collapse_type_poly(poly: GenPoly) -> GenPoly:
@@ -270,27 +259,14 @@ def collapse_type_poly(poly: GenPoly) -> GenPoly:
 
 def lucky_poly(n: int) -> GenPoly:
     """Sum over parking functions of u^lucky, by enumeration."""
-    counts: dict[int, int] = {}
-    for p in all_parking_functions(n):
-        ps = parking_stats(p)
-        counts[ps.lucky] = counts.get(ps.lucky, 0) + 1
-    total = GenPoly()
-    for lucky, mult in counts.items():
-        total = total + GenPoly.monomial({"u": lucky}, mult)
-    return total
+    stats = map(parking_stats, all_parking_functions(n))
+    return _tally(["u"], ((ps.lucky,) for ps in stats))
 
 
 def critic_lucky_poly(n: int) -> GenPoly:
     """Sum over parking functions of c^critic * u^lucky, by enumeration."""
-    counts: dict[tuple[int, int], int] = {}
-    for p in all_parking_functions(n):
-        ps = parking_stats(p)
-        key = (ps.critic, ps.lucky)
-        counts[key] = counts.get(key, 0) + 1
-    total = GenPoly()
-    for (crit, lucky), mult in counts.items():
-        total = total + GenPoly.monomial({"c": crit, "u": lucky}, mult)
-    return total
+    stats = map(parking_stats, all_parking_functions(n))
+    return _tally(["c", "u"], ((ps.critic, ps.lucky) for ps in stats))
 
 
 def lead_tree_poly(n: int) -> GenPoly:
@@ -300,15 +276,8 @@ def lead_tree_poly(n: int) -> GenPoly:
     closed product; worth holding separately because it is computed from
     the forest side alone.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for f in all_forests(n):
-        fs = forest_stats(f)
-        key = (fs.tree, fs.lead)
-        counts[key] = counts.get(key, 0) + 1
-    total = GenPoly()
-    for (tree, ld), mult in counts.items():
-        total = total + GenPoly.monomial({"c": tree, "u": ld}, mult)
-    return total
+    stats = map(forest_stats, all_forests(n))
+    return _tally(["c", "u"], ((fs.tree, fs.lead) for fs in stats))
 
 
 def statistic_product(
@@ -316,14 +285,8 @@ def statistic_product(
 ) -> GenPoly:
     """The closed product c * prod_{i=1}^{n-1} (i*a + (n-i)*b + c), n >= 1."""
     if n < 1:
-        raise ValueError("the closed product needs n >= 1")
-    if isinstance(a, int):
-        a = GenPoly.const(a)
-    if isinstance(b, int):
-        b = GenPoly.const(b)
-    if isinstance(c, int):
-        c = GenPoly.const(c)
-    result = c
+        raise OutOfRangeError("the closed product needs n >= 1")
+    result = GenPoly.const(1) * c  # GenPoly's operators take ints as constants
     for i in range(1, n):
         result = result * (a * i + b * (n - i) + c)
     return result

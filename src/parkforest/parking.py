@@ -37,10 +37,6 @@ class ParkOutcome:
     slots: tuple[int, ...]
     max_space: int
 
-    @property
-    def n(self) -> int:
-        return len(self.slots)
-
 
 @dataclass(frozen=True)
 class ParkingStats:
@@ -142,15 +138,7 @@ def space_word(prefs: Sequence[int]) -> tuple[int, ...]:
 
 def critical_cars(prefs: Sequence[int]) -> tuple[int, ...]:
     """Right-to-left maxima of the space word, listed by increasing space."""
-    word = space_word(prefs)
-    crit = []
-    best = 0
-    for car in reversed(word):
-        if car > best:
-            crit.append(car)
-            best = car
-    crit.reverse()
-    return tuple(crit)
+    return parking_stats(prefs).critical_cars
 
 
 def parking_stats(prefs: Sequence[int]) -> ParkingStats:
@@ -197,19 +185,17 @@ def sample_parking_function(n: int, rng: random.Random) -> tuple[int, ...]:
     labels so the empty space lands on n+1 yields a preference sequence
     that parks within 1..n, and every parking function arises from the
     same number of rotations, so the draw is uniform.
+
+    The circle is parked on the line, by park: the taken spaces do not
+    depend on the order of the cars, so the cars that pass n+1 may wrap
+    round last.  They fill the free spaces of 1..n+1 from the left, and
+    there is one more of those than of them: the last one stays empty.
     """
-    if n == 0:
-        return ()
     m = n + 1
     a = [rng.randrange(m) for _ in range(n)]  # 0-indexed circle positions
-    occupied = bytearray(m)
-    for x in a:
-        s = x
-        while occupied[s]:
-            s += 1
-            if s == m:
-                s = 0
-        occupied[s] = 1
-    empty = occupied.index(0)
-    shift = (n - empty) % m
+    taken = bytearray(m + 1)
+    for s in park([x + 1 for x in a]).slots:
+        if s <= m:
+            taken[s] = 1
+    shift = m - taken.rindex(0)
     return tuple((x + shift) % m + 1 for x in a)

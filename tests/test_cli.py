@@ -4,7 +4,9 @@ import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+from parkforest import InputError
 from parkforest.cli import main, parse_input
 
 
@@ -221,3 +223,39 @@ def test_pa_reports_overflow_past_n(capsys):
     assert payload["parkingFunction"] is False
     code, out, _ = run(capsys, "pa", "6,1,1")
     assert code == 0 and "not a parking function" in out
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["map", '{"parent": ["x"]}'], "'x'"),
+        (["map", '{"parent": 5}'], "5"),
+        (["stats", '{"parent": [0], "n": "a"}'], "'a'"),
+        (["unmap", '{"parking": [1, null]}'], "None"),
+        (["map", "[1.5, 0]"], "1.5"),
+        (["verify", "--n", "-2"], "-2"),
+        (["verify", "--n", "-2", "--random", "3"], "-2"),
+        (["poly", "--n", "0", "--family", "lucky", "--compare-product"], "n >= 1"),
+    ],
+)
+def test_malformed_input_is_a_usage_error(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner)
+    | st.dictionaries(st.sampled_from(["n", "parent", "parking"]) | st.text(), inner),
+)
+
+
+@given(json_values)
+def test_parse_input_returns_or_raises_input_error(value):
+    try:
+        kind, values = parse_input(json.dumps(value))
+    except InputError:
+        return
+    assert kind in ("forest", "parking")
+    assert all(type(x) is int for x in values)

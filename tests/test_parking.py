@@ -233,3 +233,24 @@ def test_park_memory_does_not_grow_with_preference_values():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def sample_by_circle_probing(n, rng):
+    """The cyclic argument run literally: probe round a circle of n+1
+    spaces, then rotate the empty space onto n+1."""
+    m = n + 1
+    a = [rng.randrange(m) for _ in range(n)]
+    occupied = [False] * m
+    for x in a:
+        while occupied[x]:
+            x = (x + 1) % m
+        occupied[x] = True
+    shift = (n - occupied.index(False)) % m
+    return tuple((x + shift) % m + 1 for x in a)
+
+
+def test_sampler_matches_circle_probing():
+    for n in list(range(30)) + [100, 1000]:
+        for seed in range(40 if n < 30 else 5):
+            want = sample_by_circle_probing(n, random.Random(seed))
+            assert sample_parking_function(n, random.Random(seed)) == want

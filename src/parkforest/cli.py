@@ -21,6 +21,7 @@ Exit status: 0 on success, 1 when a verification or comparison fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -58,8 +59,13 @@ def _read_text(args: argparse.Namespace) -> str:
             raise MalformedInputError("give the input inline or via --file, not both")
         if args.file == "-":
             return sys.stdin.read()
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            # Exit 1 means a failed verification; an unreadable file is bad input.
+            reason = getattr(exc, "strerror", None) or exc
+            raise MalformedInputError(f"cannot read {args.file}: {reason}") from exc
     if args.input is None:
         raise MalformedInputError("no input given; pass it inline, via --file, or as -")
     if args.input == "-":
@@ -369,9 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on main()'s first call and reused: building costs far more than a
+# parse, and parse_args keeps no state between calls.  Not built at import,
+# which would charge every importer of the library.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
@@ -237,6 +236,10 @@ def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
         )
     start = time.perf_counter()
     if jobs and jobs > 1 and n >= 2:
+        # Imported here: the pool pulls in multiprocessing, which every
+        # import of the package would otherwise pay for.
+        from concurrent.futures import ProcessPoolExecutor
+
         slices = [(n, fp) for fp in range(n + 1) if fp != 1]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_verify_slice, slices))
@@ -312,6 +315,9 @@ def sample_forest(n: int, rng: random.Random) -> Forest:
 
 def verify_random(n: int, count: int, seed: int | None = None) -> VerificationReport:
     """Spot-check the bijection on random forests at sizes too big to sweep."""
+    _check_size(n)
+    if count < 0:
+        raise OutOfRangeError(f"counts start at 0, got count = {count}")
     start = time.perf_counter()
     rng = random.Random(seed)
     _, bad_round, bad_stats, pf_hits = _forest_pass(

@@ -1,13 +1,21 @@
 """Command line behavior: outputs, exit codes, input plumbing."""
 
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from parkforest import InputError
-from parkforest.cli import main, parse_input
+from parkforest.cli import build_parser, main, parse_input
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -110,6 +118,18 @@ def test_inline_and_file_conflict(capsys, tmp_path):
     assert code == 2 and "not both" in err
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_file_is_a_usage_error(capsys, tmp_path, case):
+    path = tmp_path / "input.txt"
+    if case == "directory":
+        path = tmp_path
+    elif case == "not-utf8":
+        path.write_bytes(b"0,\xff")
+    code, out, err = run(capsys, "map", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
 def test_missing_input(capsys):
     code, _, err = run(capsys, "map")
     assert code == 2 and "no input" in err
@@ -126,6 +146,12 @@ def test_verify_json_and_exit_code(capsys):
 def test_verify_random_human(capsys):
     code, out, _ = run(capsys, "verify", "--n", "20", "--random", "25", "--seed", "3")
     assert code == 0 and "25 forests" in out and "0 roundtrip failures" in out
+
+
+def test_negative_random_count_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--n", "3", "--random", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: counts start at 0, got count = -1\n"
 
 
 def test_poly_families_and_compare(capsys):
@@ -259,3 +285,70 @@ def test_parse_input_returns_or_raises_input_error(value):
         return
     assert kind in ("forest", "parking")
     assert all(type(x) is int for x in values)
+
+
+def outcome(capsys, argv):
+    """main(argv) as a shell sees it: exit code, stdout, stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parser_gives_identical_runs(capsys):
+    probe = ["map", "0,1,1"]
+    others = [
+        ["map", "--bogus"],  # argparse usage error
+        ["map", "0,3,2"],  # InputError
+        ["map", "--help"],
+        ["map", "--trace", "--json", "0,1,1"],
+    ]
+    before = outcome(capsys, probe)
+    seen = [outcome(capsys, argv) for argv in others]
+    assert [code for code, _, _ in seen] == [2, 2, 0, 0]
+    assert outcome(capsys, probe) == before == (0, "2 1 3\n", "")
+    assert [outcome(capsys, argv) for argv in others] == seen
+    # build_parser() still hands out a fresh parser, with the same help.
+    fresh = build_parser()
+    assert fresh is not build_parser()
+    with pytest.raises(SystemExit):
+        fresh.parse_args(["map", "--help"])
+    assert capsys.readouterr().out == seen[2][1]
+
+
+@given(
+    st.sampled_from(["map", "unmap", "stats", "pa"]),
+    st.text() | json_values.map(json.dumps),
+)
+def test_main_exits_0_or_2_on_any_input(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch("sys.stdin", io.StringIO(text)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = main([command, "-"])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+
+
+def test_import_builds_no_parser_and_no_process_pool():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, parkforest.cli as cli;"
+        " print('multiprocessing' in sys.modules, cli._parser.cache_info().currsize)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "0"]

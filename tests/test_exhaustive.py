@@ -9,6 +9,7 @@ import parkforest.exhaustive as ex
 from parkforest import (
     BudgetExceededError,
     Forest,
+    OutOfRangeError,
     all_forests,
     all_parking_functions,
     forest_count,
@@ -97,6 +98,14 @@ def test_verify_random_clean_and_seeded():
     assert a.ok and b.ok
     assert a.forest_count == 50 and a.parking_function_count == 50
     assert a.roundtrip_failures == b.roundtrip_failures == 0
+
+
+def test_verify_random_rejects_negative_counts_and_sizes():
+    with pytest.raises(OutOfRangeError, match="counts start at 0, got count = -1"):
+        verify_random(3, -1)
+    with pytest.raises(OutOfRangeError, match="sizes start at 0, got n = -2"):
+        verify_random(-2, 0)
+    assert verify_random(3, 0).forest_count == 0
 
 
 def test_sample_forest_valid_and_exhaustive_reach():

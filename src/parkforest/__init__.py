@@ -10,7 +10,6 @@ brute-force oracles, and genpoly for the generating polynomials.
 
 from .bijection import (
     LabelMap,
-    apply_labeling,
     forest_to_parking,
     inverse_relabel,
     nearest_larger_right_tree,
@@ -25,9 +24,7 @@ from .errors import (
     MalformedInputError,
     NotParkingFunctionError,
     OutOfRangeError,
-    RootLabelError,
     SelfParentError,
-    UnknownVertexError,
 )
 from .exhaustive import (
     VerificationReport,
@@ -46,19 +43,12 @@ from .forest import (
     canonical_order,
     postorder,
     preorder,
-    strip_super_root,
     validate_forest,
 )
 from .forest_stats import (
     ForestStats,
     forest_stats,
-    inv_at,
-    inv_total,
     inversion_counts,
-    lead,
-    leaders,
-    tinv_vector,
-    tree_count,
 )
 from .genpoly import (
     GenPoly,
@@ -75,13 +65,11 @@ from .genpoly import (
 from .parking import (
     ParkingStats,
     ParkOutcome,
-    critical_cars,
     is_parking_function,
     park,
     parking_stats,
     sample_parking_function,
     sorted_parking_test,
-    space_word,
 )
 
 __all__ = [
@@ -100,32 +88,24 @@ __all__ = [
     "OutOfRangeError",
     "ParkOutcome",
     "ParkingStats",
-    "RootLabelError",
     "SelfParentError",
-    "UnknownVertexError",
     "VerificationReport",
     "all_forests",
     "all_parking_functions",
-    "apply_labeling",
     "attach_super_root",
     "canonical_order",
     "collapse_type_poly",
     "critic_lucky_poly",
     "critic_lucky_product_formula",
-    "critical_cars",
     "forest_count",
     "forest_stats",
     "forest_to_parking",
-    "inv_at",
-    "inv_total",
     "inverse_relabel",
     "inversion_counts",
     "inversion_type_poly",
     "is_parking_function",
     "jump_type_poly",
-    "lead",
     "lead_tree_poly",
-    "leaders",
     "lucky_poly",
     "lucky_product_formula",
     "nearest_larger_right_tree",
@@ -138,11 +118,7 @@ __all__ = [
     "sample_forest",
     "sample_parking_function",
     "sorted_parking_test",
-    "space_word",
     "statistic_product",
-    "strip_super_root",
-    "tinv_vector",
-    "tree_count",
     "validate_forest",
     "verify_bijection",
     "verify_random",

@@ -44,13 +44,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import (
     InvalidInversionValueError,
     MalformedInputError,
     NotParkingFunctionError,
-    OutOfRangeError,
 )
 from .forest import Forest, OrderedTree, postorder, preorder, validate_forest
 from .forest_stats import subtree_label_lists
@@ -81,7 +81,7 @@ class LabelMap:
 
 
 def _check_processing_order(order: Sequence[int], m: int) -> list[int]:
-    order = [int(v) for v in order]
+    order = list(map(index, order))
     if sorted(order) != list(range(1, m + 1)):
         raise MalformedInputError(
             f"processing order must visit each of 1..{m} exactly once"
@@ -228,22 +228,6 @@ def inverse_relabel(
     return tuple(cur)
 
 
-def apply_labeling(t: OrderedTree, labels: Sequence[int]) -> OrderedTree:
-    """Rename the vertices of a plane tree, keeping the drawing order."""
-    m = t.root
-    parent = [0] * (m + 1)
-    children: list[tuple[int, ...]] = [()] * (m + 1)
-    for v in range(1, m + 1):
-        nv = labels[v]
-        p = t.parent[v]
-        parent[nv] = labels[p] if p else 0
-        children[nv] = tuple(labels[c] for c in t.children[v])
-    root = labels[m]
-    if root != m:
-        raise OutOfRangeError("renaming must keep the top label on the root")
-    return OrderedTree(root, tuple(parent), tuple(children))
-
-
 def _forward(f: Forest) -> tuple:
     """The forward map with its intermediates, on the tree with super-root n+1.
 
@@ -311,6 +295,33 @@ def forest_to_parking(f: Forest) -> tuple[tuple[int, ...], LabelMap]:
     return _forward(f)[:2]
 
 
+def _nearest_larger_right(word: Sequence[int]) -> tuple:
+    """Parent links, children and subtree sizes of the nearest-larger-right
+    tree of a permutation word that ends in its maximum.
+
+    The word lists that tree in postorder, so one stack pass builds it:
+    each entry adopts the smaller entries it pops.  children[v] lists the
+    children of v by increasing label, () for a leaf.  The word is not
+    checked.
+    """
+    m = len(word)
+    parent = [0] * (m + 1)
+    size = [1] * (m + 1)
+    children: list = [()] * (m + 1)
+    stack: list[int] = []
+    for car in word:
+        if stack and stack[-1] < car:
+            kids = []
+            while stack and stack[-1] < car:
+                c = stack.pop()
+                parent[c] = car
+                kids.append(c)
+                size[car] += size[c]
+            children[car] = kids
+        stack.append(car)
+    return parent, children, size
+
+
 def nearest_larger_right_tree(word: Sequence[int]) -> OrderedTree:
     """Tree on a permutation word: each entry hangs on the nearest larger
     entry to its right, so the last entry must be the maximum.
@@ -319,24 +330,13 @@ def nearest_larger_right_tree(word: Sequence[int]) -> OrderedTree:
     canonical order for a decreasingly labeled tree.
     """
     m = len(word)
-    word = [int(x) for x in word]
+    word = list(map(index, word))
     if sorted(word) != list(range(1, m + 1)) or (m and word[-1] != m):
         raise MalformedInputError(
             "word must be a permutation of 1..m ending in its maximum"
         )
-    parent = [0] * (m + 1)
-    children: list[list[int]] = [[] for _ in range(m + 1)]
-    stack: list[int] = []
-    for car in word:
-        while stack and stack[-1] < car:
-            c = stack.pop()
-            parent[c] = car
-            children[car].append(c)
-        stack.append(car)
-    # Each pop run collects a vertex's children right to left.
-    for lst in children:
-        lst.reverse()
-    return OrderedTree(m, tuple(parent), tuple(tuple(lst) for lst in children))
+    parent, children, _ = _nearest_larger_right(word)
+    return OrderedTree(m, tuple(parent), tuple(tuple(ch[::-1]) for ch in children))
 
 
 def _backward(p: Sequence[int]) -> tuple:
@@ -347,7 +347,7 @@ def _backward(p: Sequence[int]) -> tuple:
     jump per car (index 0 a sentinel), the parent car in the
     nearest-larger-right tree and the recovered vertex of each car.
     """
-    p = tuple(map(int, p))
+    p = tuple(map(index, p))
     if not is_parking_function(p):
         raise NotParkingFunctionError(f"{p} is not a parking function")
     m = len(p) + 1
@@ -357,22 +357,7 @@ def _backward(p: Sequence[int]) -> tuple:
     for c, s in enumerate(slots, start=1):
         word[s - 1] = c
     jumps = [0] + [s - q for s, q in zip(slots, prefs)]
-    # The word lists the nearest-larger-right tree in postorder: each car
-    # adopts the smaller cars it pops.
-    tparent = [0] * (m + 1)
-    size = [1] * (m + 1)
-    children: list = [()] * (m + 1)
-    stack: list[int] = []
-    for car in word:
-        if stack and stack[-1] < car:
-            kids = []
-            while stack and stack[-1] < car:
-                c = stack.pop()
-                tparent[c] = car
-                kids.append(c)
-                size[car] += size[c]
-            children[car] = kids
-        stack.append(car)
+    tparent, children, size = _nearest_larger_right(word)
     # A car's space is its position in the word.
     orig = _relabel(children, size, (0,) + slots, word, reversed(word), jumps)[0]
     return prefs, slots, word, jumps, tparent, orig

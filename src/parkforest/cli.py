@@ -345,10 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="check the bijection at one size")
     sub.add_argument("--n", type=int, required=True, help="number of vertices/cars")
-    sub.add_argument(
+    how = sub.add_mutually_exclusive_group()
+    how.add_argument(
         "--exhaustive", action="store_true", help="sweep everything (the default)"
     )
-    sub.add_argument(
+    how.add_argument(
         "--random", type=int, metavar="COUNT", help="spot-check COUNT random forests"
     )
     sub.add_argument("--seed", type=int, help="seed for --random")

@@ -24,14 +24,6 @@ class OutOfRangeError(InputError):
     """A value lies outside the permitted range for its position."""
 
 
-class RootLabelError(InputError):
-    """A rooted tree's root does not carry the maximum label."""
-
-
-class UnknownVertexError(InputError):
-    """A vertex label does not occur in the forest or tree at hand."""
-
-
 class InvalidInversionValueError(InputError):
     """An inversion count exceeds what the subtree it sits on allows."""
 

@@ -8,16 +8,17 @@ maximum) is what makes the forest-to-parking-function map injective;
 canonical_order is its reference, which the tests compare the map
 against, and bijection._forward computes the same order on its own.
 
-The super-root operations convert between a forest on 1..n and a single
-rooted tree on 1..n+1 whose root n+1 adopts the forest roots as children.
+attach_super_root turns a forest on 1..n into a single rooted tree on
+1..n+1 whose root n+1 adopts the forest roots as children.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
-from .errors import CycleError, OutOfRangeError, RootLabelError, SelfParentError
+from .errors import CycleError, OutOfRangeError, SelfParentError
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ def validate_forest(parent: Sequence[int]) -> Forest:
 
     Raises OutOfRangeError, SelfParentError, or CycleError on bad input.
     """
-    parent = tuple(int(p) for p in parent)
+    parent = tuple(map(index, parent))
     n = len(parent)
     for v, p in enumerate(parent, start=1):
         if p < 0 or p > n:
@@ -160,20 +161,6 @@ def attach_super_root(of: OrderedForest) -> OrderedTree:
     parent = tuple(p if p else m for p in of.parent) + (0,)
     children = ((),) + of.children[1:] + (of.roots,)
     return OrderedTree(m, (0,) + parent, children)
-
-
-def strip_super_root(t: OrderedTree) -> OrderedForest:
-    """Remove the top label, turning its children back into forest roots.
-
-    The root must carry the maximum label, otherwise the removal would
-    leave a gap in the label set.
-    """
-    m = t.root
-    if t.parent.count(0) != 2 or t.parent[m] != 0:
-        raise RootLabelError(f"vertex {m} is not the unique root")
-    parent = tuple(0 if p == m else p for p in t.parent[1:m])
-    children = (t.children[m],) + t.children[1:m]
-    return OrderedForest(parent, children)
 
 
 def postorder(t: OrderedTree) -> tuple[int, ...]:

@@ -1,11 +1,11 @@
 """Inversion statistics of rooted labeled forests.
 
 An inversion of a forest at vertex v counts the strict descendants of v
-carrying a smaller label.  Derived from that single notion:
+carrying a smaller label.  Derived from it, all returned by forest_stats:
 
   inv_total   sum of the counts over all vertices
-  leaders     vertices with no inversions at all
-  tree_count  number of components (equivalently, roots)
+  leaders     vertices with no inversions at all (lead counts them)
+  tree        number of components (equivalently, roots)
   inv_type    vector t where t[k] = number of vertices with exactly k
               inversions; always reported with n+1 entries so it lines
               up index by index with the jump type of a preference
@@ -22,8 +22,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import UnknownVertexError
-from .forest import Forest, OrderedTree, bottom_up_order, children_lists
+from .forest import Forest, bottom_up_order, children_lists
 
 
 @dataclass(frozen=True)
@@ -114,47 +113,3 @@ def forest_stats(f: Forest) -> ForestStats:
         tree=f.parent.count(0),
         inv_type=tuple(inv_type),
     )
-
-
-def _counts_of(g: Forest | OrderedTree) -> list[int]:
-    """Inversion counts for a forest or an attached tree (super-root included)."""
-    if isinstance(g, OrderedTree):
-        return inversion_counts(g.children, bottom_up_order(g.parent[1:]))
-    return inversion_counts(children_lists(g.parent), bottom_up_order(g.parent))
-
-
-def inv_at(g: Forest | OrderedTree, v: int) -> int:
-    """Inversion count at one vertex; prefer forest_stats for many.
-
-    On a Forest the vertices are 1..n; on an OrderedTree the top label
-    (the super-root) counts too, with its full descendant set.
-    """
-    top = g.root if isinstance(g, OrderedTree) else g.n
-    if not 1 <= v <= top:
-        raise UnknownVertexError(f"vertex {v} is not among 1..{top}")
-    return _counts_of(g)[v]
-
-
-def inv_total(g: Forest | OrderedTree) -> int:
-    return sum(_counts_of(g)[1:])
-
-
-def leaders(g: Forest | OrderedTree) -> tuple[int, ...]:
-    """Vertices whose strict descendants all carry larger labels."""
-    top = g.root if isinstance(g, OrderedTree) else g.n
-    counts = _counts_of(g)
-    return tuple(v for v in range(1, top + 1) if counts[v] == 0)
-
-
-def lead(g: Forest | OrderedTree) -> int:
-    return len(leaders(g))
-
-
-def tree_count(f: Forest) -> int:
-    """Number of components, i.e. of root vertices."""
-    return f.parent.count(0)
-
-
-def tinv_vector(f: Forest) -> tuple[int, ...]:
-    """inv_type alone: entry k counts vertices with exactly k inversions."""
-    return forest_stats(f).inv_type

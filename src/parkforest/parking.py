@@ -124,23 +124,6 @@ def sorted_parking_test(prefs: Sequence[int]) -> bool:
     return all(1 <= x <= i for i, x in enumerate(b, start=1))
 
 
-def space_word(prefs: Sequence[int]) -> tuple[int, ...]:
-    """Which car sits in each of spaces 1..n (word[s-1] = car at space s)."""
-    outcome = park(prefs)
-    n = len(prefs)
-    if outcome.max_space > n:
-        raise NotParkingFunctionError(f"{tuple(prefs)} is not a parking function")
-    word = [0] * n
-    for c, s in enumerate(outcome.slots, start=1):
-        word[s - 1] = c
-    return tuple(word)
-
-
-def critical_cars(prefs: Sequence[int]) -> tuple[int, ...]:
-    """Right-to-left maxima of the space word, listed by increasing space."""
-    return parking_stats(prefs).critical_cars
-
-
 def parking_stats(prefs: Sequence[int]) -> ParkingStats:
     """All car statistics of a parking function in one pass."""
     prefs = tuple(prefs)

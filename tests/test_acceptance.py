@@ -19,7 +19,6 @@ from parkforest import (
     canonical_order,
     critic_lucky_poly,
     critic_lucky_product_formula,
-    critical_cars,
     forest_count,
     forest_stats,
     forest_to_parking,
@@ -195,7 +194,7 @@ def test_criterion_09_critical_equivalence():
 
     for n in range(7):
         for p in all_parking_functions(n):
-            assert sorted(critical_cars(p)) == sorted(by_simulation(p))
+            assert sorted(parking_stats(p).critical_cars) == sorted(by_simulation(p))
 
 
 @criterion(10, "sampler: 16000 draws at n=3 uniform within 5 sigma")

@@ -15,7 +15,7 @@ from parkforest import (
     OutOfRangeError,
     SelfParentError,
     all_forests,
-    apply_labeling,
+    all_parking_functions,
     attach_super_root,
     canonical_order,
     forest_to_parking,
@@ -81,10 +81,9 @@ def test_relabel_result_is_decreasing():
     for f in all_forests(5):
         t = attach_super_root(canonical_order(f))
         lab = relabel_decreasing(t)
-        d = apply_labeling(t, lab)
-        for v in range(1, d.root + 1):
-            for c in d.children[v]:
-                assert c < v
+        for v in range(1, t.root + 1):
+            for c in t.children[v]:
+                assert lab[c] < lab[v]
         assert sorted(lab[1:]) == list(range(1, t.root + 1))
 
 
@@ -123,24 +122,32 @@ def test_inverse_relabel_chain_by_hand():
     assert orig[3] == 3 and orig[2] == 1 and orig[1] == 2
 
 
+def renamed(t, lab):
+    """t with each vertex v renamed lab[v], for a decreasing lab: the tree
+    the relabeled postorder word lists, children by decreasing label."""
+    d = nearest_larger_right_tree([lab[v] for v in postorder(t)])
+    for v in range(1, t.root + 1):
+        p = t.parent[v]
+        assert d.parent[lab[v]] == (lab[p] if p else 0)
+        assert d.children[lab[v]] == tuple(lab[c] for c in t.children[v])
+    return d
+
+
 def test_inverse_relabel_undoes_relabel():
     rng = random.Random(99)
     for f in all_forests(5):
         t = attach_super_root(canonical_order(f))
         lab = relabel_decreasing(t)
-        d = apply_labeling(t, lab)
+        d = renamed(t, lab)
         # targets live on the renamed vertices: new label j needs the
         # inversion count of the vertex that became j
-        from parkforest.forest_stats import inversion_counts
-        from parkforest import postorder
-
         inv = inversion_counts(t.children, postorder(t))
         targets = [0] * (d.root + 1)
         for v in range(1, t.root + 1):
             targets[lab[v]] = inv[v]
         orig = inverse_relabel(d, targets)
-        # applying the recovered labels to the renamed tree gives back t
-        assert apply_labeling(d, orig) == t
+        # the recovered labels undo the renaming
+        assert all(orig[lab[v]] == v for v in range(1, t.root + 1))
         order = list(range(1, d.root + 1))
         rng.shuffle(order)
         assert inverse_relabel(d, targets, order) == orig
@@ -179,9 +186,31 @@ def test_nearest_larger_right_tree_rejects_bad_words():
         nearest_larger_right_tree((1, 2, 4))
 
 
-def test_apply_labeling_identity():
-    t = attach_super_root(canonical_order(Forest((0, 1, 1))))
-    assert apply_labeling(t, tuple(range(t.root + 1))) == t
+def test_backward_parents_are_the_nearest_larger_right_tree():
+    rng = random.Random(5)
+    cases = [p for n in range(6) for p in all_parking_functions(n)]
+    cases += [sample_parking_function(200, rng) for _ in range(50)]
+    for p in cases:
+        tr = unmap_trace(p)
+        parents = [row["parentCar"] for row in tr["rows"]]
+        assert parents == list(nearest_larger_right_tree(tr["word"]).parent[1:])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: validate_forest((0.5,)),
+        lambda: parking_to_forest((1.9,)),
+        lambda: nearest_larger_right_tree((1, 2.5, 3)),
+        lambda: relabel_decreasing(
+            attach_super_root(canonical_order(Forest((0,)))), (1, 2.0)
+        ),
+    ],
+    ids=["validate_forest", "parking_to_forest", "nearest_larger_right_tree", "order"],
+)
+def test_non_integer_input_is_rejected_not_truncated(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_golden_n14():
@@ -339,14 +368,14 @@ def test_relabel_default_matches_literal_on_deep_shapes(shape):
     t = attach_super_root(canonical_order(deep_forest(shape, 200)))
     lab = relabel_decreasing(t)
     assert lab == relabel_decreasing(t, preorder(t))
-    d = apply_labeling(t, lab)
+    d = renamed(t, lab)
     inv = inversion_counts(t.children, postorder(t))
     targets = [0] * (d.root + 1)
     for v in range(1, t.root + 1):
         targets[lab[v]] = inv[v]
     orig = inverse_relabel(d, targets)
     assert orig == inverse_relabel(d, targets, preorder(d))
-    assert apply_labeling(d, orig) == t
+    assert all(orig[lab[v]] == v for v in range(1, t.root + 1))
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,14 @@ def test_negative_random_count_is_a_usage_error(capsys):
     assert err == "error: counts start at 0, got count = -1\n"
 
 
+def test_exhaustive_and_random_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "3", "--exhaustive", "--random", "2"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "not allowed with argument --exhaustive" in out.err
+
+
 def test_poly_families_and_compare(capsys):
     code, out, _ = run(capsys, "poly", "--n", "3", "--family", "lucky")
     assert code == 0 and out.strip() == "2*u + 8*u^2 + 6*u^3"

@@ -13,7 +13,6 @@ from parkforest import (
     canonical_order,
     postorder,
     preorder,
-    strip_super_root,
     validate_forest,
 )
 from parkforest.forest import bottom_up_order, children_lists, subtree_maxima
@@ -98,15 +97,18 @@ def test_canonical_order_children():
     assert of.children[1] == (3, 2)
 
 
+def assert_attached(of, t):
+    """t is of under the super-root n+1, and of can be read back off it."""
+    m = of.n + 1
+    assert t.root == m
+    assert t.parent == (0,) + tuple(p or m for p in of.parent) + (0,)
+    assert t.children == ((),) + of.children[1:] + (of.roots,)
+
+
 def test_attach_strip_roundtrip_small():
     for f in all_forests(4):
         of = canonical_order(f)
-        t = attach_super_root(of)
-        assert t.root == f.n + 1
-        assert t.children[t.root] == of.roots
-        back = strip_super_root(t)
-        assert back.parent == of.parent
-        assert back.children == of.children
+        assert_attached(of, attach_super_root(of))
 
 
 def test_postorder_and_preorder_cover_once():
@@ -141,7 +143,7 @@ def test_validate_accepts_generated(f):
 @given(forests())
 def test_attach_strip_roundtrip(f):
     of = canonical_order(f)
-    assert strip_super_root(attach_super_root(of)) == of
+    assert_attached(of, attach_super_root(of))
 
 
 @given(forests())

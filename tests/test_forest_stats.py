@@ -1,22 +1,17 @@
 """Inversion statistics against a naive quadratic oracle."""
 
-import pytest
 from hypothesis import given
 
 from parkforest import (
     Forest,
-    UnknownVertexError,
     all_forests,
     attach_super_root,
     canonical_order,
     forest_stats,
-    lead,
-    leaders,
-    tinv_vector,
-    tree_count,
+    postorder,
 )
 from parkforest.forest import children_lists
-from parkforest.forest_stats import inv_at, inv_total, inversion_counts
+from parkforest.forest_stats import inversion_counts
 
 from test_forest import forests
 
@@ -71,12 +66,6 @@ def test_type_vector_counts(f):
         assert t == sum(1 for x in fs.inv_at if x == k)
 
 
-def test_single_vertex_helpers():
-    f = Forest((3, 1, 0))
-    assert inv_at(f, 3) == 2 and inv_at(f, 1) == 0
-    assert inv_total(f) == 2
-
-
 def test_inversion_counts_on_tree_children():
     # same engine drives tree overlays; index 0 stays untouched
     f = Forest((0, 1, 1))
@@ -90,39 +79,17 @@ def test_report_keys():
     assert rep["n"] == 2 and rep["tinv"] == [1, 1, 0]
 
 
-def test_inv_at_rejects_unknown_vertices():
-    f = Forest((0, 1))
-    with pytest.raises(UnknownVertexError):
-        inv_at(f, 0)
-    with pytest.raises(UnknownVertexError):
-        inv_at(f, 3)
-    t = attach_super_root(canonical_order(f))
-    assert inv_at(t, 3) == 2  # the attached top sees both vertices below
-    with pytest.raises(UnknownVertexError):
-        inv_at(t, 4)
-
-
 def test_tree_counts_extend_forest_counts():
     # Attaching the top label never disturbs the counts below it, and the
     # top itself dominates all n vertices.
     for parent in [(0,), (0, 0), (2, 0), (0, 1), (3, 1, 0), (0, 1, 1, 2, 0)]:
         f = Forest(parent)
         t = attach_super_root(canonical_order(f))
-        assert inv_at(t, f.n + 1) == f.n
-        for v in range(1, f.n + 1):
-            assert inv_at(t, v) == inv_at(f, v)
-        assert inv_total(t) == inv_total(f) + f.n
-
-
-def test_standalone_statistic_wrappers_match_bundle():
-    for parent in [(), (0,), (2, 0), (0, 1, 1), (3, 1, 0, 0, 4)]:
-        f = Forest(parent)
+        inv = inversion_counts(t.children, postorder(t))
         fs = forest_stats(f)
-        assert leaders(f) == fs.leaders
-        assert lead(f) == fs.lead
-        assert tree_count(f) == fs.tree
-        assert tinv_vector(f) == fs.inv_type
-        assert inv_total(f) == fs.inv_total
+        assert inv[f.n + 1] == f.n
+        assert tuple(inv[1 : f.n + 1]) == fs.inv_at
+        assert sum(inv[1:]) == fs.inv_total + f.n
 
 
 def test_every_leaf_is_a_leader():

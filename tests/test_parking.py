@@ -11,14 +11,13 @@ from parkforest import (
     NotParkingFunctionError,
     OutOfRangeError,
     all_parking_functions,
-    critical_cars,
     is_parking_function,
     park,
     parking_stats,
     sample_parking_function,
     sorted_parking_test,
-    space_word,
 )
+from parkforest.bijection import unmap_trace
 
 prefseqs = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.lists(
@@ -102,17 +101,24 @@ def test_stats_rejects_non_parking():
     with pytest.raises(NotParkingFunctionError):
         parking_stats((4, 3, 3, 1, 5))
     with pytest.raises(NotParkingFunctionError):
-        space_word((2, 2))
+        parking_stats((2, 2))
 
 
 def test_space_word_golden():
-    assert space_word((2, 4, 2, 1, 3)) == (4, 1, 3, 2, 5)
+    # word[s-1] is the car at space s; the backward map appends car n+1,
+    # which parks at space n+1
+    p = (2, 4, 2, 1, 3)
+    word = [0] * len(p)
+    for c, s in enumerate(parking_stats(p).slots, start=1):
+        word[s - 1] = c
+    assert word == [4, 1, 3, 2, 5]
+    assert unmap_trace(p)["word"] == word + [6]
 
 
 def test_critical_definitions_agree_small():
     for n in range(6):
         for p in all_parking_functions(n):
-            assert sorted(critical_cars(p)) == sorted(critical_by_simulation(p))
+            assert sorted(parking_stats(p).critical_cars) == sorted(critical_by_simulation(p))
 
 
 def test_jump_total_identity_exhaustive():

@@ -1,0 +1,73 @@
+"""The public names, and the module functions the benchmark traces by name."""
+
+import importlib
+from pathlib import Path
+
+import parkforest
+
+PUBLIC = [
+    "BudgetExceededError",
+    "CycleError",
+    "Forest",
+    "ForestStats",
+    "GenPoly",
+    "InputError",
+    "InvalidInversionValueError",
+    "LabelMap",
+    "MalformedInputError",
+    "NotParkingFunctionError",
+    "OrderedForest",
+    "OrderedTree",
+    "OutOfRangeError",
+    "ParkOutcome",
+    "ParkingStats",
+    "SelfParentError",
+    "VerificationReport",
+    "all_forests",
+    "all_parking_functions",
+    "attach_super_root",
+    "canonical_order",
+    "collapse_type_poly",
+    "critic_lucky_poly",
+    "critic_lucky_product_formula",
+    "forest_count",
+    "forest_stats",
+    "forest_to_parking",
+    "inverse_relabel",
+    "inversion_counts",
+    "inversion_type_poly",
+    "is_parking_function",
+    "jump_type_poly",
+    "lead_tree_poly",
+    "lucky_poly",
+    "lucky_product_formula",
+    "nearest_larger_right_tree",
+    "park",
+    "parking_stats",
+    "parking_to_forest",
+    "postorder",
+    "preorder",
+    "relabel_decreasing",
+    "sample_forest",
+    "sample_parking_function",
+    "sorted_parking_test",
+    "statistic_product",
+    "validate_forest",
+    "verify_bijection",
+    "verify_random",
+]
+
+
+def test_public_surface_and_traced_layers_exist(monkeypatch):
+    assert sorted(parkforest.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(parkforest, name) is not None
+    # bench/run.py --trace wraps each listed function by getattr on its
+    # module, so renaming or deleting one of them breaks the traced run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    layers = importlib.import_module("tracer").LAYERS
+    for module, names in layers.items():
+        mod = importlib.import_module(f"parkforest.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"parkforest.{module}.{name}"
+    assert issubclass(importlib.import_module("parkforest.cli").InputError, Exception)

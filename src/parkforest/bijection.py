@@ -70,9 +70,6 @@ class LabelMap:
     def car_of(self, v: int) -> int:
         return self.to_car[v]
 
-    def vertex_of(self, c: int) -> int:
-        return self.to_vertex[c]
-
     def as_report(self) -> dict:
         return {
             "vertexToCar": list(self.to_car[1:]),

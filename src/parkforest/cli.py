@@ -251,6 +251,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.random is not None and args.jobs is not None:
+        raise MalformedInputError("--jobs applies only to the sweep, not to --random")
+    if args.random is None and args.seed is not None:
+        raise MalformedInputError("--seed applies only to --random")
     if args.random is not None:
         report = verify_random(args.n, args.random, args.seed)
     else:

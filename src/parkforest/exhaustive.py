@@ -1,13 +1,14 @@
 """Brute-force enumeration and verification of the bijection.
 
-The enumerators are deliberately independent of the bijection machinery:
-forests come from filtering raw parent sequences for acyclicity, parking
-functions from filtering raw preference sequences by the counting
-criterion (at least i preferences within 1..i, for every i).  Both
-therefore serve as oracles: the map must hit every parking function
-exactly once, the inverse must return every forest, and every statistic
-must transport.  verify_bijection checks all of it for one n; the checks
-per forest are
+The enumerators are deliberately independent of the bijection machinery.
+Each runs over every raw sequence of its first n-1 coordinates and solves
+for the last one: forests by acyclicity (vertex n may hang only where its
+parent chain reaches a root without coming back to n), parking functions
+by the counting criterion (at least i preferences within 1..i, for every
+i).  Both therefore serve as oracles: the map must hit every parking
+function exactly once, the inverse must return every forest, and every
+statistic must transport.  verify_bijection checks all of it for one n;
+the checks per forest are
 
   image       the produced preference sequence is a parking function
   roundtrip   mapping back returns the very same parent sequence
@@ -86,32 +87,35 @@ def _check_size(n: int) -> None:
         raise OutOfRangeError(f"sizes start at 0, got n = {n}")
 
 
-def _parent_choices(n: int) -> list[tuple[int, ...]]:
-    return [tuple(p for p in range(n + 1) if p != v) for v in range(1, n + 1)]
+def _root_reachers(head: tuple[int, ...], n: int) -> list[int] | None:
+    """The parents vertex n may take, given those of vertices 1..n-1.
 
-
-def _acyclic(cand: tuple[int, ...], n: int) -> bool:
-    # Chase parents from each vertex; every vertex already shown to reach
-    # a root is marked so the whole check stays linear in n.
-    safe = bytearray(n + 1)
-    safe[0] = 1
-    for v0 in range(1, n + 1):
-        v = v0
-        steps = 0
-        while not safe[v]:
-            v = cand[v - 1]
-            steps += 1
-            if steps > n:
-                return False
-        v = v0
-        while not safe[v]:
-            safe[v] = 1
-            v = cand[v - 1]
-    return True
+    That is 0 and each vertex whose chain reaches 0 without passing n, in
+    increasing order, or None when the head holds a cycle.  Each walk stops
+    at a vertex of known fate and copies that fate back along itself.
+    """
+    fate = [0] * (n + 1)  # 0 unknown, 1 reaches 0, 2 reaches n, 3 on this walk
+    fate[0] = 1
+    fate[n] = 2
+    for v in range(1, n):
+        walk = []
+        while not fate[v]:
+            fate[v] = 3
+            walk.append(v)
+            v = head[v - 1]
+        end = fate[v]
+        if end == 3:
+            return None
+        for u in walk:
+            fate[u] = end
+    return [v for v in range(n) if fate[v] == 1]
 
 
 def all_forests(n: int, first_parent: int | None = None) -> Iterator[Forest]:
-    """Every forest on n vertices, as filtered parent sequences.
+    """Every forest on n vertices, in lexicographic order of parent sequences.
+
+    The parents of vertices 1..n-1 run over all their values; for each
+    acyclic choice, vertex n takes exactly the parents that keep it so.
 
     first_parent restricts to forests where vertex 1 has that parent,
     which is how parallel verification splits the work.
@@ -125,28 +129,47 @@ def all_forests(n: int, first_parent: int | None = None) -> Iterator[Forest]:
         if first_parent is None:
             yield Forest(())
         return
-    choices = _parent_choices(n)
+    heads = [tuple(p for p in range(n + 1) if p != v) for v in range(1, n)]
     if first_parent is not None:
         if first_parent == 1:
             return
-        choices[0] = (first_parent,)
-    acyclic = _acyclic
-    for cand in itertools.product(*choices):
-        if acyclic(cand, n):
-            yield Forest(cand)
+        if heads:
+            heads[0] = (first_parent,)
+        elif first_parent != 0:  # n = 1: vertex 1 is the last one, a root
+            return
+    reachers = _root_reachers
+    for head in itertools.product(*heads):
+        lasts = reachers(head, n)
+        if lasts is not None:
+            for p in lasts:
+                yield Forest(head + (p,))
 
 
 def all_parking_functions(n: int) -> Iterator[tuple[int, ...]]:
-    """Every parking function of length n, by filtering all sequences."""
+    """Every parking function of length n, in lexicographic order.
+
+    The first n-1 preferences run over 1..n.  Sorted into b_1 <= ... <=
+    b_{n-1}, they have a completion exactly when every b_i <= i+1; the last
+    car may then prefer 1 up to the first i with b_i = i+1, or up to n.
+    """
     _check_size(n)
     if n > MAX_ENUMERATION_N:
         raise BudgetExceededError(
             f"full parking-function sweeps stop at n = {MAX_ENUMERATION_N}, got {n}"
         )
-    ok = is_parking_function
-    for cand in itertools.product(range(1, n + 1), repeat=n):
-        if ok(cand):
-            yield cand
+    if n == 0:
+        yield ()
+        return
+    for head in itertools.product(range(1, n + 1), repeat=n - 1):
+        top = n
+        for i, b in enumerate(sorted(head), start=1):
+            if b > i + 1:
+                break
+            if b > i and top == n:
+                top = i
+        else:
+            for last in range(1, top + 1):
+                yield head + (last,)
 
 
 def _check_forest(f: Forest) -> tuple[tuple[int, ...] | None, int, int]:
@@ -167,12 +190,17 @@ def _check_forest(f: Forest) -> tuple[tuple[int, ...] | None, int, int]:
     bad_stats = 0
     fs = forest_stats(f)
     ps = parking_stats(p)
-    to_car = lmap.to_car
+    inv_total = fs.inv_total
     jump = ps.jump_at
-    for v in range(1, n + 1):
-        if fs.inv_at[v - 1] != jump[to_car[v] - 1]:
+    # The roots themselves must land on the critical cars, not merely
+    # match them in number.
+    roots = set()
+    for k, c, up in zip(fs.inv_at, lmap.to_car[1:], f.parent):
+        if k != jump[c - 1]:
             bad_stats += 1
-    if fs.inv_total != ps.jump_total:
+        if not up:
+            roots.add(c)
+    if inv_total != ps.jump_total:
         bad_stats += 1
     if fs.lead != ps.lucky:
         bad_stats += 1
@@ -180,15 +208,14 @@ def _check_forest(f: Forest) -> tuple[tuple[int, ...] | None, int, int]:
         bad_stats += 1
     if fs.inv_type != ps.jump_type:
         bad_stats += 1
-    if fs.inv_total != comb(n + 1, 2) - sum(p):
+    if inv_total != comb(n + 1, 2) - sum(p):
         bad_stats += 1
-    # The roots themselves must land on the critical cars, not merely
-    # match them in number.
-    roots = {to_car[v] for v in range(1, n + 1) if f.parent[v - 1] == 0}
     if roots != set(ps.critical_cars):
         bad_stats += 1
-    # Inversion-free forests and permutation images single each other out.
-    if (fs.inv_total == 0) != (sorted(p) == list(range(1, n + 1))):
+    # Inversion-free forests and permutation images single each other out;
+    # p is a parking function, so it is a permutation when its n values
+    # are distinct.
+    if (inv_total == 0) != (len(set(p)) == n):
         bad_stats += 1
     return p, bad_round, bad_stats
 

@@ -11,9 +11,10 @@ carrying a smaller label.  Derived from it, all returned by forest_stats:
               up index by index with the jump type of a preference
               sequence of length n (the top entry is always 0)
 
-Counts are gathered in one bottom-up sweep that keeps, per vertex, the
-sorted list of labels in its subtree; merging children lists and one
-bisection give the count without quadratic rescans.
+forest_stats builds the child lists once; a breadth-first order from the
+roots, reversed, puts every vertex after its children.  inversion_counts
+sweeps it keeping, per vertex, the sorted labels of its subtree: merging
+the children's lists and one bisection give the count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
-from .forest import Forest, bottom_up_order, children_lists
+from .forest import Forest, children_lists
 
 
 @dataclass(frozen=True)
@@ -98,18 +99,26 @@ def forest_stats(f: Forest) -> ForestStats:
     """All inversion statistics of a forest in one pass."""
     n = f.n
     ch = children_lists(f.parent)
-    inv = inversion_counts(ch, bottom_up_order(f.parent))
-    inv_at = tuple(inv[1:])
+    roots = ch[0]
+    order = list(roots)
+    for v in order:  # breadth first: the list grows while it is read
+        order += ch[v]
+    order.reverse()
+    inv = inversion_counts(ch, order)
     inv_type = [0] * (n + 1)
-    for k in inv_at:
+    leaders = []
+    for v in range(1, n + 1):
+        k = inv[v]
         inv_type[k] += 1
-    leaders = tuple(v for v in range(1, n + 1) if inv[v] == 0)
+        if not k:
+            leaders.append(v)
+    inv_at = tuple(inv[1:])
     return ForestStats(
         n=n,
         inv_at=inv_at,
         inv_total=sum(inv_at),
-        leaders=leaders,
+        leaders=tuple(leaders),
         lead=len(leaders),
-        tree=f.parent.count(0),
+        tree=len(roots),
         inv_type=tuple(inv_type),
     )

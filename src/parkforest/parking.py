@@ -132,13 +132,16 @@ def parking_stats(prefs: Sequence[int]) -> ParkingStats:
     if outcome.max_space > n:
         raise NotParkingFunctionError(f"{prefs} is not a parking function")
     slots = outcome.slots
-    jump_at = tuple(s - p for s, p in zip(slots, prefs))
+    jump_at = []
     jump_type = [0] * (n + 1)
-    for j in jump_at:
-        jump_type[j] += 1
-    lucky_cars = tuple(c for c, j in enumerate(jump_at, start=1) if j == 0)
+    lucky_cars = []
     word = [0] * n
-    for c, s in enumerate(slots, start=1):
+    for c, (s, p) in enumerate(zip(slots, prefs), start=1):
+        j = s - p
+        jump_at.append(j)
+        jump_type[j] += 1
+        if not j:
+            lucky_cars.append(c)
         word[s - 1] = c
     crit = []
     best = 0
@@ -150,9 +153,9 @@ def parking_stats(prefs: Sequence[int]) -> ParkingStats:
     return ParkingStats(
         n=n,
         slots=slots,
-        jump_at=jump_at,
+        jump_at=tuple(jump_at),
         jump_total=sum(jump_at),
-        lucky_cars=lucky_cars,
+        lucky_cars=tuple(lucky_cars),
         lucky=len(lucky_cars),
         critical_cars=tuple(crit),
         critic=len(crit),

@@ -65,7 +65,7 @@ def test_label_map_shape():
     p, lmap = forest_to_parking(Forest((0, 1, 1)))
     assert sorted(lmap.to_car[1:]) == [1, 2, 3]
     for v in range(1, 4):
-        assert lmap.vertex_of(lmap.car_of(v)) == v
+        assert lmap.to_vertex[lmap.car_of(v)] == v
 
 
 def test_relabel_chain_by_hand():

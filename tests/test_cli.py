@@ -270,6 +270,8 @@ def test_pa_reports_overflow_past_n(capsys):
         (["verify", "--n", "-2"], "-2"),
         (["verify", "--n", "-2", "--random", "3"], "-2"),
         (["poly", "--n", "0", "--family", "lucky", "--compare-product"], "n >= 1"),
+        (["verify", "--n", "3", "--random", "2", "--jobs", "4"], "--jobs"),
+        (["verify", "--n", "3", "--seed", "5"], "--seed"),
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv, named):

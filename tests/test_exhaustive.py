@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 import parkforest.exhaustive as ex
 from parkforest import (
     BudgetExceededError,
+    CycleError,
     Forest,
     OutOfRangeError,
     all_forests,
@@ -15,6 +17,7 @@ from parkforest import (
     forest_count,
     is_parking_function,
     sample_forest,
+    sorted_parking_test,
     validate_forest,
     verify_bijection,
     verify_random,
@@ -58,6 +61,31 @@ def test_all_forests_against_code_decoder():
         for seq in itertools.product(range(1, n + 2), repeat=n - 1):
             via_codes.add(sample_forest(n, FixedSeq(seq)).parent)
         assert via_codes == via_filter
+
+
+def _is_forest(parent):
+    try:
+        validate_forest(parent)
+    except CycleError:
+        return False
+    return True
+
+
+def test_enumerators_match_brute_force_filter():
+    # The reference filters every full candidate sequence; the enumerators
+    # must yield the same objects in the same order, in every slice.
+    for n in range(7):
+        choices = [tuple(p for p in range(n + 1) if p != v) for v in range(1, n + 1)]
+        for fp in [None, *range(n + 1)] if n else [None]:
+            if fp is not None:
+                choices[0] = tuple(p for p in range(n + 1) if p == fp != 1)
+            want = [c for c in itertools.product(*choices) if _is_forest(c)]
+            assert [f.parent for f in all_forests(n, fp)] == want
+        cands = itertools.product(range(1, n + 1), repeat=n)
+        want = [c for c in cands if sorted_parking_test(c)]
+        got = list(all_parking_functions(n))
+        assert got == want
+        assert all(is_parking_function(p) and sorted_parking_test(p) for p in got)
 
 
 def test_all_parking_functions_members():
@@ -187,3 +215,26 @@ def test_non_parking_image_counts_once(monkeypatch):
     rep = verify_random(6, 20, seed=3)
     assert rep.roundtrip_failures == 20
     assert rep.parking_function_count == 0
+
+
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        ("forest_stats", lambda s: replace(s, inv_at=(s.inv_at[0] + 1, *s.inv_at[1:]))),
+        ("parking_stats", lambda s: replace(s, critical_cars=s.critical_cars[1:])),
+        ("parking_stats", lambda s: replace(s, lucky=s.lucky + 1)),
+    ],
+    ids=["inv_at", "critical_car_dropped", "lucky_shifted"],
+)
+def test_verify_catches_broken_statistics(monkeypatch, name, mutate):
+    real = getattr(ex, name)
+    monkeypatch.setattr(ex, name, lambda x: mutate(real(x)))
+    # Each mutant breaks exactly one check on every object: vertex 1's
+    # count against its car's jump, the roots against the critical cars,
+    # or the leaders against the lucky cars.
+    rep = verify_bijection(4)
+    assert rep.stat_mismatches == forest_count(4)
+    assert rep.roundtrip_failures == 0 and not rep.ok
+    rep = verify_random(30, 20, seed=5)
+    assert rep.stat_mismatches == 20
+    assert rep.roundtrip_failures == 0 and not rep.ok

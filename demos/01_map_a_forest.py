@@ -7,7 +7,7 @@ of length n, and nothing about the forest is lost on the way.  This
 walks the forward map on a small forest, printing each intermediate.
 """
 
-from parkforest import Forest, attach_super_root, canonical_order, postorder
+from parkforest import Forest, canonical_order
 from parkforest.bijection import map_trace
 
 # The forest, as a parent sequence: parent[v-1] is the parent of vertex v,
@@ -15,18 +15,16 @@ from parkforest.bijection import map_trace
 f = Forest((2, 0, 4, 2, 0))
 print("parent sequence:", f.parent)
 
-# Step 1: fix the drawing.  Children (and the roots) are ordered by the
-# largest label in their subtree, biggest first.  This choice is what the
-# whole construction hangs on: it makes the map reversible.
-of = canonical_order(f)
-print("roots, canonically ordered:", of.roots)
+# Steps 1 and 2: fix the drawing, under one super-root labeled n+1 that
+# adopts the roots, so a forest question becomes a tree question.
+# Children (and the roots) are ordered by the largest label in their
+# subtree, biggest first.  This choice is what the whole construction
+# hangs on: it makes the map reversible.
+t = canonical_order(f)
+print("roots, canonically ordered:", t.children[t.root])
 for v in range(1, f.n + 1):
-    if of.children[v]:
-        print(f"  children of {v}:", of.children[v])
-
-# Step 2: adopt everything under one super-root labeled n+1, so a forest
-# question becomes a tree question.
-t = attach_super_root(of)
+    if t.children[v]:
+        print(f"  children of {v}:", t.children[v])
 print("super-root:", t.root, "with children", t.children[t.root])
 
 # Steps 3-5, all at once via the trace: each vertex gets its postorder

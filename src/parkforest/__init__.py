@@ -37,9 +37,7 @@ from .exhaustive import (
 )
 from .forest import (
     Forest,
-    OrderedForest,
     OrderedTree,
-    attach_super_root,
     canonical_order,
     postorder,
     preorder,
@@ -83,7 +81,6 @@ __all__ = [
     "LabelMap",
     "MalformedInputError",
     "NotParkingFunctionError",
-    "OrderedForest",
     "OrderedTree",
     "OutOfRangeError",
     "ParkOutcome",
@@ -92,7 +89,6 @@ __all__ = [
     "VerificationReport",
     "all_forests",
     "all_parking_functions",
-    "attach_super_root",
     "canonical_order",
     "collapse_type_poly",
     "critic_lucky_poly",

@@ -2,7 +2,7 @@
 
 Forward direction, forest to parking function:
 
-  1. draw the forest canonically and attach the super-root n+1;
+  1. draw the forest canonically under the super-root n+1;
   2. overlay postorder positions and inversion counts on the tree;
   3. relabel decreasingly (every label beats all labels below it) with
      relabel_decreasing, remembering which vertex became which label;
@@ -20,17 +20,18 @@ Backward direction, parking function to forest:
   5. strip the super-root.
 
 Both relabelings process each vertex once, in any order, with the same
-result (preorder by default): along any ancestors-first sweep, the
-current labels of the strict descendants of the vertex in hand keep the
-relative order of their names.  relabel_decreasing is inverse_relabel
-with every vertex asking for the top rank, and one top-down split does
-both.  Each vertex holds two aligned sorted lists, the names in its
-subtree and the labels they hold; it pops its label by rank, drops its
-name (at its inversion count), hands the lists to its largest child and
-bisects the other children's entries out.  An entry is bisected out
-only into a subtree at most half as large: O(n log n) interpreter steps
-in all.  The list shifts inside the pops run at C speed but can cost
-O(n) per vertex, so O(n^2) machine words on a path.
+result (by default in the reversed postorder they compute anyway): along
+any ancestors-first sweep, the current labels of the strict descendants
+of the vertex in hand keep the relative order of their names.
+relabel_decreasing is inverse_relabel with every vertex asking for the
+top rank, and one top-down split does both.  Each vertex holds two
+aligned sorted lists, the names in its subtree and the labels they hold;
+it pops its label by rank, drops its name (at its inversion count),
+hands the lists to its largest child and bisects the other children's
+entries out.  An entry is bisected out only into a subtree at most half
+as large: O(n log n) interpreter steps in all.  The list shifts inside
+the pops run at C speed but can cost O(n) per vertex, so O(n^2) machine
+words on a path.
 
 Forward, the map walks the tree breadth first from the super-root
 (finding cycles), up for subtree sizes and maxima (hence the canonical
@@ -52,7 +53,7 @@ from .errors import (
     MalformedInputError,
     NotParkingFunctionError,
 )
-from .forest import Forest, OrderedTree, postorder, preorder, validate_forest
+from .forest import Forest, OrderedTree, postorder, validate_forest
 from .forest_stats import subtree_label_lists
 from .parking import is_parking_function, park
 
@@ -77,13 +78,10 @@ class LabelMap:
         }
 
 
-def _check_processing_order(order: Sequence[int], m: int) -> list[int]:
-    order = list(map(index, order))
-    if sorted(order) != list(range(1, m + 1)):
-        raise MalformedInputError(
-            f"processing order must visit each of 1..{m} exactly once"
-        )
-    return order
+def _as_permutation(seq: Sequence[int], m: int) -> list[int] | None:
+    """seq as a list of ints if it is a permutation of 1..m, else None."""
+    seq = list(map(index, seq))
+    return seq if sorted(seq) == list(range(1, m + 1)) else None
 
 
 def _relabel(
@@ -181,7 +179,7 @@ def relabel_decreasing(
     targets = [s - 1 for s in size]
     if order is not None:
         return inverse_relabel(t, targets, order)
-    return tuple(_relabel(t.children, size, end, po, preorder(t), targets)[0])
+    return tuple(_relabel(t.children, size, end, po, reversed(po), targets)[0])
 
 
 def inverse_relabel(
@@ -192,8 +190,8 @@ def inverse_relabel(
     Processing vertex v hands it the (targets[v]+1)-th smallest current
     label in its subtree, so exactly targets[v] strict descendants of v
     end up below it; the remaining labels are redistributed over the
-    strict descendants order-preservingly.  Order independent, preorder
-    by default.
+    strict descendants order-preservingly.  Order independent, reversed
+    postorder by default.
 
     Returns labels with labels[v] the recovered label of vertex v.
     """
@@ -204,11 +202,16 @@ def inverse_relabel(
         )
     if order is None:
         po, size, end = _sized_postorder(t)
-        return tuple(_relabel(t.children, size, end, po, preorder(t), targets)[0])
+        return tuple(_relabel(t.children, size, end, po, reversed(po), targets)[0])
     # Reference path: literal order-preserving reassignment at each step.
+    order = _as_permutation(order, m)
+    if order is None:
+        raise MalformedInputError(
+            f"processing order must visit each of 1..{m} exactly once"
+        )
     cur = list(range(m + 1))
     labels = subtree_label_lists(t.children, postorder(t))
-    for v in _check_processing_order(order, m):
+    for v in order:
         sub = labels[v]
         want = targets[v]
         if not 0 <= want < len(sub):
@@ -327,8 +330,8 @@ def nearest_larger_right_tree(word: Sequence[int]) -> OrderedTree:
     canonical order for a decreasingly labeled tree.
     """
     m = len(word)
-    word = list(map(index, word))
-    if sorted(word) != list(range(1, m + 1)) or (m and word[-1] != m):
+    word = _as_permutation(word, m)
+    if word is None or (m and word[-1] != m):
         raise MalformedInputError(
             "word must be a permutation of 1..m ending in its maximum"
         )

@@ -125,6 +125,10 @@ def all_forests(n: int, first_parent: int | None = None) -> Iterator[Forest]:
         raise BudgetExceededError(
             f"full forest sweeps stop at n = {MAX_ENUMERATION_N}, got {n}"
         )
+    if first_parent is not None and not 0 <= first_parent <= n:
+        raise OutOfRangeError(
+            f"vertex 1 takes a parent in 0..{n}, got first_parent = {first_parent}"
+        )
     if n == 0:
         if first_parent is None:
             yield Forest(())
@@ -255,7 +259,15 @@ def _verify_slice(args: tuple[int, int | None]) -> tuple[tuple[int, ...], dict]:
 
 
 def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
-    """Exhaustively verify the bijection and statistics for one n."""
+    """Exhaustively verify the bijection and statistics for one n.
+
+    jobs > 1 splits the sweep over at most that many worker processes,
+    one slice per parent of vertex 1; None or 1 runs it in this process.
+    """
+    if jobs is not None and jobs < 1:
+        raise OutOfRangeError(
+            f"jobs counts worker processes from 1, got jobs = {jobs}"
+        )
     if n > MAX_VERIFICATION_N:
         raise BudgetExceededError(
             f"exhaustive verification stops at n = {MAX_VERIFICATION_N}, got {n};"
@@ -268,7 +280,7 @@ def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
         from concurrent.futures import ProcessPoolExecutor
 
         slices = [(n, fp) for fp in range(n + 1) if fp != 1]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
             parts = list(pool.map(_verify_slice, slices))
     else:
         parts = [_verify_slice((n, None))]

@@ -3,13 +3,11 @@
 A forest on n vertices labeled 1..n is stored as a parent sequence:
 parent[v-1] is the parent of vertex v, with 0 standing for "v is a root".
 Every function here treats vertex labels as significant.  The canonical
-drawing order (children and root list sorted by decreasing subtree
-maximum) is what makes the forest-to-parking-function map injective;
-canonical_order is its reference, which the tests compare the map
-against, and bijection._forward computes the same order on its own.
-
-attach_super_root turns a forest on 1..n into a single rooted tree on
-1..n+1 whose root n+1 adopts the forest roots as children.
+drawing hangs the forest under a super-root n+1, which adopts the roots,
+and sorts every child list by decreasing subtree maximum; that order is
+what makes the forest-to-parking-function map injective.  canonical_order
+is its reference, which the tests compare the map against, and
+bijection._forward computes the same drawing on its own.
 """
 
 from __future__ import annotations
@@ -37,31 +35,11 @@ class Forest:
 
 
 @dataclass(frozen=True)
-class OrderedForest:
-    """A forest plus its canonical drawing order.
-
-    children[v] lists the children of v left to right; children[0] lists
-    the roots.  Both are sorted by decreasing subtree maximum.
-    """
-
-    parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.parent)
-
-    @property
-    def roots(self) -> tuple[int, ...]:
-        return self.children[0]
-
-
-@dataclass(frozen=True)
 class OrderedTree:
     """A single plane tree on vertices 1..root, rooted at the top label.
 
     parent[root] is 0 and parent[0] is an unused sentinel.  children[v]
-    preserves the drawing order inherited from the forest it came from.
+    lists the children of v left to right; children[0] is empty.
     """
 
     root: int
@@ -106,61 +84,37 @@ def children_lists(parent: Sequence[int]) -> list[list[int]]:
     return ch
 
 
-def subtree_maxima(parent: Sequence[int]) -> list[int]:
-    """Largest label in the subtree of each vertex (index 0 unused).
+def upward_order(children: Sequence[Sequence[int]]) -> list[int]:
+    """Breadth first from the roots children[0], reversed: every vertex
+    comes after all of its children."""
+    order = list(children[0])
+    for v in order:  # the list grows while it is read
+        order += children[v]
+    order.reverse()
+    return order
 
-    Folds each vertex into its parent along bottom_up_order, so a vertex
-    is folded in only once all of its own children have been.
+
+def canonical_order(f: Forest) -> OrderedTree:
+    """The canonical drawing of f under a super-root labeled n+1.
+
+    The forest roots become the children of n+1.  Every child list, the
+    roots included, is sorted by decreasing subtree maximum.
     """
-    submax = list(range(len(parent) + 1))
-    for v in bottom_up_order(parent):
+    parent = f.parent
+    m = len(parent) + 1
+    ch = children_lists(parent)
+    top = list(range(m))  # subtree maxima, folded up child by child
+    for v in upward_order(ch):
         p = parent[v - 1]
-        if submax[v] > submax[p]:
-            submax[p] = submax[v]
-    return submax
-
-
-def bottom_up_order(parent: Sequence[int]) -> list[int]:
-    """Some ordering of all vertices with every child before its parent."""
-    n = len(parent)
-    pending = [0] * (n + 1)
-    for p in parent:
-        pending[p] += 1
-    ready = [v for v in range(1, n + 1) if pending[v] == 0]
-    out = []
-    while ready:
-        v = ready.pop()
-        out.append(v)
-        p = parent[v - 1]
-        if p:
-            pending[p] -= 1
-            if pending[p] == 0:
-                ready.append(p)
-    return out
-
-
-def canonical_order(f: Forest) -> OrderedForest:
-    """Order children and roots by decreasing subtree maximum."""
-    submax = subtree_maxima(f.parent)
-    key = submax.__getitem__
-    ch = children_lists(f.parent)
+        if top[v] > top[p]:
+            top[p] = top[v]
+    ch.append(ch[0])
+    ch[0] = []
     for lst in ch:
         if len(lst) > 1:
-            lst.sort(key=key, reverse=True)
-    return OrderedForest(f.parent, tuple(tuple(lst) for lst in ch))
-
-
-def attach_super_root(of: OrderedForest) -> OrderedTree:
-    """Join the forest under a new root labeled n+1 adopting the old roots.
-
-    The root's children keep the canonical (decreasing subtree maximum)
-    order, so the resulting plane tree is canonically drawn as well.
-    """
-    n = of.n
-    m = n + 1
-    parent = tuple(p if p else m for p in of.parent) + (0,)
-    children = ((),) + of.children[1:] + (of.roots,)
-    return OrderedTree(m, (0,) + parent, children)
+            lst.sort(key=top.__getitem__, reverse=True)
+    tparent = (0,) + tuple(p or m for p in parent) + (0,)
+    return OrderedTree(m, tparent, tuple(map(tuple, ch)))
 
 
 def postorder(t: OrderedTree) -> tuple[int, ...]:

@@ -11,10 +11,11 @@ carrying a smaller label.  Derived from it, all returned by forest_stats:
               up index by index with the jump type of a preference
               sequence of length n (the top entry is always 0)
 
-forest_stats builds the child lists once; a breadth-first order from the
-roots, reversed, puts every vertex after its children.  inversion_counts
-sweeps it keeping, per vertex, the sorted labels of its subtree: merging
-the children's lists and one bisection give the count.
+forest_stats builds the child lists once; forest.upward_order, a
+breadth-first order from the roots reversed, puts every vertex after its
+children.  inversion_counts sweeps it keeping, per vertex, the sorted
+labels of its subtree: merging the children's lists and one bisection
+give the count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
-from .forest import Forest, children_lists
+from .forest import Forest, children_lists, upward_order
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,7 @@ def forest_stats(f: Forest) -> ForestStats:
     """All inversion statistics of a forest in one pass."""
     n = f.n
     ch = children_lists(f.parent)
-    roots = ch[0]
-    order = list(roots)
-    for v in order:  # breadth first: the list grows while it is read
-        order += ch[v]
-    order.reverse()
-    inv = inversion_counts(ch, order)
+    inv = inversion_counts(ch, upward_order(ch))
     inv_type = [0] * (n + 1)
     leaders = []
     for v in range(1, n + 1):
@@ -119,6 +115,6 @@ def forest_stats(f: Forest) -> ForestStats:
         inv_total=sum(inv_at),
         leaders=tuple(leaders),
         lead=len(leaders),
-        tree=len(roots),
+        tree=len(ch[0]),
         inv_type=tuple(inv_type),
     )

@@ -97,9 +97,6 @@ class GenPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "GenPoly | int") -> "GenPoly":
         if isinstance(other, int):
             other = GenPoly.const(other)
@@ -115,16 +112,6 @@ class GenPoly:
         return res
 
     __radd__ = __add__
-
-    def __neg__(self) -> "GenPoly":
-        res = GenPoly()
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "GenPoly | int") -> "GenPoly":
-        if isinstance(other, int):
-            other = GenPoly.const(other)
-        return self + (-other)
 
     def __mul__(self, other: "GenPoly | int") -> "GenPoly":
         if isinstance(other, int):

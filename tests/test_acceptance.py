@@ -15,7 +15,6 @@ from math import comb
 from parkforest import (
     all_forests,
     all_parking_functions,
-    attach_super_root,
     canonical_order,
     critic_lucky_poly,
     critic_lucky_product_formula,
@@ -167,7 +166,7 @@ def test_criterion_08_order_independence():
     trees = 0
     for n in range(6):
         for f in all_forests(n):
-            t = attach_super_root(canonical_order(f))
+            t = canonical_order(f)
             base = relabel_decreasing(t)
             order = list(range(1, t.root + 1))
             for _ in range(20):

@@ -16,7 +16,6 @@ from parkforest import (
     SelfParentError,
     all_forests,
     all_parking_functions,
-    attach_super_root,
     canonical_order,
     forest_to_parking,
     inverse_relabel,
@@ -72,14 +71,14 @@ def test_relabel_chain_by_hand():
     # chain 3 -> 1 -> 2 relabels to 3 -> 2 -> 1: the middle vertex takes
     # the larger of the two labels below the root
     f = Forest((3, 1, 0))
-    t = attach_super_root(canonical_order(f))
+    t = canonical_order(f)
     lab = relabel_decreasing(t)
     assert lab[3] == 3 and lab[1] == 2 and lab[2] == 1 and lab[4] == 4
 
 
 def test_relabel_result_is_decreasing():
     for f in all_forests(5):
-        t = attach_super_root(canonical_order(f))
+        t = canonical_order(f)
         lab = relabel_decreasing(t)
         for v in range(1, t.root + 1):
             for c in t.children[v]:
@@ -88,17 +87,15 @@ def test_relabel_result_is_decreasing():
 
 
 def test_relabel_default_matches_explicit_preorder():
-    from parkforest import preorder
-
     for f in all_forests(5):
-        t = attach_super_root(canonical_order(f))
+        t = canonical_order(f)
         assert relabel_decreasing(t) == relabel_decreasing(t, preorder(t))
 
 
 def test_relabel_order_independent_small():
     rng = random.Random(42)
     for f in all_forests(4):
-        t = attach_super_root(canonical_order(f))
+        t = canonical_order(f)
         base = relabel_decreasing(t)
         order = list(range(1, t.root + 1))
         for _ in range(10):
@@ -107,7 +104,7 @@ def test_relabel_order_independent_small():
 
 
 def test_relabel_rejects_bad_order():
-    t = attach_super_root(canonical_order(Forest((0, 1))))
+    t = canonical_order(Forest((0, 1)))
     with pytest.raises(MalformedInputError):
         relabel_decreasing(t, [1, 2])  # missing the root
     with pytest.raises(MalformedInputError):
@@ -136,7 +133,7 @@ def renamed(t, lab):
 def test_inverse_relabel_undoes_relabel():
     rng = random.Random(99)
     for f in all_forests(5):
-        t = attach_super_root(canonical_order(f))
+        t = canonical_order(f)
         lab = relabel_decreasing(t)
         d = renamed(t, lab)
         # targets live on the renamed vertices: new label j needs the
@@ -203,7 +200,7 @@ def test_backward_parents_are_the_nearest_larger_right_tree():
         lambda: parking_to_forest((1.9,)),
         lambda: nearest_larger_right_tree((1, 2.5, 3)),
         lambda: relabel_decreasing(
-            attach_super_root(canonical_order(Forest((0,)))), (1, 2.0)
+            canonical_order(Forest((0,))), (1, 2.0)
         ),
     ],
     ids=["validate_forest", "parking_to_forest", "nearest_larger_right_tree", "order"],
@@ -245,7 +242,7 @@ def test_roundtrip_random(f):
 @settings(deadline=None)
 @given(forests(max_n=60), st.randoms(use_true_random=False))
 def test_relabel_order_independent_random(f, rng):
-    t = attach_super_root(canonical_order(f))
+    t = canonical_order(f)
     base = relabel_decreasing(t)
     order = list(range(1, t.root + 1))
     rng.shuffle(order)
@@ -284,7 +281,7 @@ def test_relabel_order_independent_on_large_random_trees():
     rng = random.Random(31)
     for _ in range(5):
         f = sample_forest(100, rng)
-        t = attach_super_root(canonical_order(f))
+        t = canonical_order(f)
         base = relabel_decreasing(t)
         for _ in range(20):
             order = list(range(1, t.root + 1))
@@ -293,8 +290,9 @@ def test_relabel_order_independent_on_large_random_trees():
 
 
 def _forward_overlay(f):
-    """Recompute the forward map's intermediates for invariant checks."""
-    t = attach_super_root(canonical_order(f))
+    """Recompute the forward map's intermediates from the reference
+    drawing, inversion counts and relabeling."""
+    t = canonical_order(f)
     po = postorder(t)
     m = f.n + 1
     pos = [0] * (m + 1)
@@ -310,11 +308,31 @@ def _forward_overlay(f):
 
 def test_forward_overlay_invariants():
     rng = random.Random(11)
-    cases = [f for n in range(5) for f in all_forests(n)]
+    cases = [f for n in range(6) for f in all_forests(n)]
     cases += [sample_forest(60, rng) for _ in range(10)]
+    cases += [deep_forest(shape, 200) for shape in DEEP_SHAPES]
+    cases += [sample_forest(300, rng) for _ in range(20)]
     for f in cases:
         t, pos, inv, lab, word = _forward_overlay(f)
         m = f.n + 1
+        # The map's own drawing and overlay equal the reference ones.
+        tr = map_trace(f)
+        assert tr["canonicalRoots"] == list(t.children[m])
+        assert tr["canonicalChildren"] == {
+            str(v): list(t.children[v]) for v in range(1, m)
+        }
+        assert tr["postorder"] == list(postorder(t))
+        for row in tr["rows"]:
+            v = row["vertex"]
+            assert row["position"] == pos[v]
+            assert row["inversions"] == inv[v]
+            assert row["car"] == lab[v]
+        # So does the backward map's inverse relabeling.
+        back = unmap_trace(tr["parking"])
+        assert back["word"] == word
+        jumps = [0] + [row["jump"] for row in back["rows"]]
+        orig = inverse_relabel(nearest_larger_right_tree(back["word"]), jumps)
+        assert [row["vertex"] for row in back["rows"]] == list(orig[1:])
         assert sorted(lab[1:]) == list(range(1, m + 1))
         assert word[-1] == m  # the top label closes the word
         for v in range(1, m + 1):
@@ -365,7 +383,7 @@ def deep_forest(shape, n, seed=0):
 
 @pytest.mark.parametrize("shape", DEEP_SHAPES)
 def test_relabel_default_matches_literal_on_deep_shapes(shape):
-    t = attach_super_root(canonical_order(deep_forest(shape, 200)))
+    t = canonical_order(deep_forest(shape, 200))
     lab = relabel_decreasing(t)
     assert lab == relabel_decreasing(t, preorder(t))
     d = renamed(t, lab)

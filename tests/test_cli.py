@@ -272,6 +272,8 @@ def test_pa_reports_overflow_past_n(capsys):
         (["poly", "--n", "0", "--family", "lucky", "--compare-product"], "n >= 1"),
         (["verify", "--n", "3", "--random", "2", "--jobs", "4"], "--jobs"),
         (["verify", "--n", "3", "--seed", "5"], "--seed"),
+        (["verify", "--n", "3", "--jobs", "0"], "jobs = 0"),
+        (["verify", "--n", "3", "--jobs", "-2"], "jobs = -2"),
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv, named):

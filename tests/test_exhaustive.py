@@ -103,6 +103,16 @@ def test_first_parent_partition_covers():
     ]
     assert set().union(*parts) == whole
     assert sum(len(p) for p in parts) == len(whole)
+    assert parts[1] == set()  # vertex 1 is never its own parent
+    assert list(all_forests(0, first_parent=0)) == []
+
+
+@pytest.mark.parametrize(
+    "n, first_parent", [(3, 9), (3, 4), (2, -3), (1, 2), (0, 1), (0, -1)]
+)
+def test_first_parent_outside_range_is_rejected(n, first_parent):
+    with pytest.raises(OutOfRangeError, match=f"got first_parent = {first_parent}"):
+        next(all_forests(n, first_parent))
 
 
 def test_verify_small_all_pass():
@@ -118,6 +128,31 @@ def test_verify_parallel_matches_serial():
     for field in ("n", "forest_count", "parking_function_count",
                   "roundtrip_failures", "stat_mismatches"):
         assert getattr(serial, field) == getattr(parallel, field)
+
+
+def test_verify_starts_no_more_workers_than_slices(monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # n = 3 splits into three slices: vertex 1 hangs on 0, 2 or 3.
+    report = verify_bijection(3, jobs=64)
+    assert asked == [3]
+    assert report.ok and report.forest_count == forest_count(3)
 
 
 def test_verify_random_clean_and_seeded():

@@ -9,13 +9,12 @@ from parkforest import (
     OutOfRangeError,
     SelfParentError,
     all_forests,
-    attach_super_root,
     canonical_order,
     postorder,
     preorder,
     validate_forest,
 )
-from parkforest.forest import bottom_up_order, children_lists, subtree_maxima
+from parkforest.forest import children_lists
 
 
 def forests(max_n=8):
@@ -74,46 +73,42 @@ def test_children_lists_roots_under_zero():
     assert ch[2] == [] and ch[3] == [] and ch[4] == []
 
 
-def test_subtree_maxima_by_definition():
-    # 5 -> 2 -> 1, 4 -> 3 rooted at 1 and 3
-    f = validate_forest([0, 1, 0, 3, 2])
-    assert subtree_maxima(f.parent)[1:] == [5, 5, 4, 4, 5]
-
-
 def test_canonical_order_sorts_by_subtree_maximum():
     # two roots 1 and 2; 1 carries the larger subtree via child 3
-    of = canonical_order(validate_forest([0, 0, 1]))
-    assert of.roots == (1, 2)
+    t = canonical_order(validate_forest([0, 0, 1]))
+    assert t.children[t.root] == (1, 2)
     # root list flips when the large subtree hangs under 2 instead
-    of = canonical_order(validate_forest([0, 0, 2]))
-    assert of.roots == (2, 1)
+    t = canonical_order(validate_forest([0, 0, 2]))
+    assert t.children[t.root] == (2, 1)
 
 
 def test_canonical_order_children():
     # children of 1: subtrees max(4)=4 via 2, max(3)=3
-    of = canonical_order(validate_forest([0, 1, 1, 2]))
-    assert of.children[1] == (2, 3)
-    of = canonical_order(validate_forest([0, 1, 1, 3]))
-    assert of.children[1] == (3, 2)
+    t = canonical_order(validate_forest([0, 1, 1, 2]))
+    assert t.children[1] == (2, 3)
+    t = canonical_order(validate_forest([0, 1, 1, 3]))
+    assert t.children[1] == (3, 2)
 
 
-def assert_attached(of, t):
-    """t is of under the super-root n+1, and of can be read back off it."""
-    m = of.n + 1
+def assert_drawn(f, t):
+    """t is f under the super-root n+1, which adopts the roots; each child
+    list holds the children of f, in some order."""
+    m = f.n + 1
     assert t.root == m
-    assert t.parent == (0,) + tuple(p or m for p in of.parent) + (0,)
-    assert t.children == ((),) + of.children[1:] + (of.roots,)
+    assert t.parent == (0,) + tuple(p or m for p in f.parent) + (0,)
+    ch = children_lists(f.parent)
+    assert t.children[0] == ()
+    assert [sorted(c) for c in t.children[1:]] == ch[1:] + [ch[0]]
 
 
-def test_attach_strip_roundtrip_small():
+def test_canonical_order_draws_under_super_root_small():
     for f in all_forests(4):
-        of = canonical_order(f)
-        assert_attached(of, attach_super_root(of))
+        assert_drawn(f, canonical_order(f))
 
 
 def test_postorder_and_preorder_cover_once():
     f = validate_forest([0, 1, 1, 2, 0])
-    t = attach_super_root(canonical_order(f))
+    t = canonical_order(f)
     po, pre = postorder(t), preorder(t)
     assert sorted(po) == sorted(pre) == list(range(1, 7))
     assert po[-1] == t.root and pre[0] == t.root
@@ -121,7 +116,7 @@ def test_postorder_and_preorder_cover_once():
 
 def test_postorder_children_before_parents():
     for f in all_forests(4):
-        t = attach_super_root(canonical_order(f))
+        t = canonical_order(f)
         seen = set()
         for v in postorder(t):
             assert all(c in seen for c in t.children[v])
@@ -131,7 +126,7 @@ def test_postorder_children_before_parents():
 def test_postorder_respects_drawing_order():
     # canonical drawing: the left subtree (larger maximum) comes first
     f = validate_forest([0, 0, 2])  # roots ordered 2, 1
-    t = attach_super_root(canonical_order(f))
+    t = canonical_order(f)
     assert postorder(t) == (3, 2, 1, 4)
 
 
@@ -141,27 +136,21 @@ def test_validate_accepts_generated(f):
 
 
 @given(forests())
-def test_attach_strip_roundtrip(f):
-    of = canonical_order(f)
-    assert_attached(of, attach_super_root(of))
+def test_canonical_order_draws_under_super_root(f):
+    assert_drawn(f, canonical_order(f))
 
 
 @given(forests())
 def test_canonical_children_strictly_decreasing(f):
-    of = canonical_order(f)
-    submax = subtree_maxima(f.parent)
-    for lst in of.children:
+    t = canonical_order(f)
+    # the largest label in each subtree: every vertex raises its ancestors
+    submax = list(range(f.n + 1))
+    for v in range(1, f.n + 1):
+        u = f.parent[v - 1]
+        while u:
+            submax[u] = max(submax[u], v)
+            u = f.parent[u - 1]
+    for lst in t.children:
         maxima = [submax[c] for c in lst]
         assert maxima == sorted(maxima, reverse=True)
         assert len(set(maxima)) == len(maxima)
-
-
-@given(forests())
-def test_bottom_up_order_is_valid(f):
-    seen = set()
-    ch = children_lists(f.parent)
-    order = bottom_up_order(f.parent)
-    assert sorted(order) == list(range(1, f.n + 1))
-    for v in order:
-        assert all(c in seen for c in ch[v])
-        seen.add(v)

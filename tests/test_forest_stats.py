@@ -5,7 +5,6 @@ from hypothesis import given
 from parkforest import (
     Forest,
     all_forests,
-    attach_super_root,
     canonical_order,
     forest_stats,
     postorder,
@@ -84,7 +83,7 @@ def test_tree_counts_extend_forest_counts():
     # top itself dominates all n vertices.
     for parent in [(0,), (0, 0), (2, 0), (0, 1), (3, 1, 0), (0, 1, 1, 2, 0)]:
         f = Forest(parent)
-        t = attach_super_root(canonical_order(f))
+        t = canonical_order(f)
         inv = inversion_counts(t.children, postorder(t))
         fs = forest_stats(f)
         assert inv[f.n + 1] == f.n

@@ -16,7 +16,6 @@ PUBLIC = [
     "LabelMap",
     "MalformedInputError",
     "NotParkingFunctionError",
-    "OrderedForest",
     "OrderedTree",
     "OutOfRangeError",
     "ParkOutcome",
@@ -25,7 +24,6 @@ PUBLIC = [
     "VerificationReport",
     "all_forests",
     "all_parking_functions",
-    "attach_super_root",
     "canonical_order",
     "collapse_type_poly",
     "critic_lucky_poly",

@@ -44,9 +44,8 @@ top-down order of the split.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InvalidInversionValueError,
@@ -58,8 +57,7 @@ from .forest_stats import subtree_label_lists
 from .parking import is_parking_function, park
 
 
-@dataclass(frozen=True)
-class LabelMap:
+class LabelMap(NamedTuple):
     """Which car index corresponds to which forest vertex label.
 
     to_car[v] is the car matching vertex v; slot 0 is an unused sentinel.

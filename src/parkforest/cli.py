@@ -262,12 +262,13 @@ def _cmd_verify(args) -> int:
     if args.json:
         print(_stable_json(report.as_report()))
     else:
+        replay = "" if report.seed is None else f", replay with --seed {report.seed}"
         print(
             f"n={report.n}: {report.forest_count} forests, "
             f"{report.parking_function_count} parking functions, "
             f"{report.roundtrip_failures} roundtrip failures, "
             f"{report.stat_mismatches} stat mismatches "
-            f"({report.elapsed_millis} ms)"
+            f"({report.elapsed_millis} ms){replay}"
         )
     return 0 if report.ok else 1
 

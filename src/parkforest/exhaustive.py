@@ -42,10 +42,10 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .bijection import forest_to_parking, parking_to_forest
-from .errors import BudgetExceededError, OutOfRangeError
+from .errors import BudgetExceededError, NotParkingFunctionError, OutOfRangeError
 from .forest import Forest
 from .forest_stats import forest_stats
-from .parking import is_parking_function, parking_stats
+from .parking import parking_stats
 
 # Sweeping all (n+1)^(n-1) objects stops being a desk-scale job right
 # after these sizes; anything larger must go through the random checks.
@@ -61,13 +61,14 @@ class VerificationReport:
     roundtrip_failures: int
     stat_mismatches: int
     elapsed_millis: int
+    seed: int | None = None  # the seed of a random check, None for a sweep
 
     @property
     def ok(self) -> bool:
         return self.roundtrip_failures == 0 and self.stat_mismatches == 0
 
     def as_report(self) -> dict:
-        return {
+        report = {
             "n": self.n,
             "forestCount": self.forest_count,
             "parkingFunctionCount": self.parking_function_count,
@@ -75,6 +76,9 @@ class VerificationReport:
             "statMismatches": self.stat_mismatches,
             "elapsedMillis": self.elapsed_millis,
         }
+        if self.seed is not None:
+            report["seed"] = self.seed
+        return report
 
 
 def forest_count(n: int) -> int:
@@ -181,14 +185,16 @@ def _check_forest(f: Forest) -> tuple[tuple[int, ...] | None, int, int]:
 
     Returns (image or None, roundtrip failures, stat mismatches); the
     image is None when it is not even a parking function, which counts
-    as one roundtrip failure.
+    as one roundtrip failure.  The inverse map checks the image, so it is
+    checked once.
     """
     n = f.n
     p, lmap = forest_to_parking(f)
-    if not is_parking_function(p):
+    try:
+        back, back_map = parking_to_forest(p)
+    except NotParkingFunctionError:
         return None, 1, 0
     bad_round = 0
-    back, back_map = parking_to_forest(p)
     if back.parent != f.parent or back_map.to_car != lmap.to_car:
         bad_round = 1
     bad_stats = 0
@@ -353,10 +359,16 @@ def sample_forest(n: int, rng: random.Random) -> Forest:
 
 
 def verify_random(n: int, count: int, seed: int | None = None) -> VerificationReport:
-    """Spot-check the bijection on random forests at sizes too big to sweep."""
+    """Spot-check the bijection on random forests at sizes too big to sweep.
+
+    Without a seed, one is drawn from the system's source of randomness.
+    The report carries the seed either way, so every run can be replayed.
+    """
     _check_size(n)
     if count < 0:
         raise OutOfRangeError(f"counts start at 0, got count = {count}")
+    if seed is None:
+        seed = random.SystemRandom().randrange(2**32)
     start = time.perf_counter()
     rng = random.Random(seed)
     _, bad_round, bad_stats, pf_hits = _forest_pass(
@@ -370,4 +382,5 @@ def verify_random(n: int, count: int, seed: int | None = None) -> VerificationRe
         roundtrip_failures=bad_round,
         stat_mismatches=bad_stats,
         elapsed_millis=elapsed,
+        seed=seed,
     )

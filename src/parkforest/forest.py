@@ -84,14 +84,26 @@ def children_lists(parent: Sequence[int]) -> list[list[int]]:
     return ch
 
 
-def upward_order(children: Sequence[Sequence[int]]) -> list[int]:
-    """Breadth first from the roots children[0], reversed: every vertex
-    comes after all of its children."""
-    order = list(children[0])
+def upward_children(parent: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """The child lists of a forest (index 0 holds the roots) and an order
+    putting every vertex after all of its children: breadth first from
+    the roots, reversed.
+
+    Forest does not validate.  On a bad parent sequence this raises the
+    error validate_forest raises for it, found by one range check and one
+    count of the vertices reached from the roots.
+    """
+    n = len(parent)
+    if parent and (min(parent) < 0 or max(parent) > n):
+        validate_forest(parent)
+    ch = children_lists(parent)
+    order = list(ch[0])
     for v in order:  # the list grows while it is read
-        order += children[v]
+        order += ch[v]
+    if len(order) < n:  # a vertex that never reaches a root
+        validate_forest(parent)
     order.reverse()
-    return order
+    return ch, order
 
 
 def canonical_order(f: Forest) -> OrderedTree:
@@ -102,9 +114,9 @@ def canonical_order(f: Forest) -> OrderedTree:
     """
     parent = f.parent
     m = len(parent) + 1
-    ch = children_lists(parent)
+    ch, up = upward_children(parent)
     top = list(range(m))  # subtree maxima, folded up child by child
-    for v in upward_order(ch):
+    for v in up:
         p = parent[v - 1]
         if top[v] > top[p]:
             top[p] = top[v]

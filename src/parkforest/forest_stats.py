@@ -11,24 +11,23 @@ carrying a smaller label.  Derived from it, all returned by forest_stats:
               up index by index with the jump type of a preference
               sequence of length n (the top entry is always 0)
 
-forest_stats builds the child lists once; forest.upward_order, a
-breadth-first order from the roots reversed, puts every vertex after its
-children.  inversion_counts sweeps it keeping, per vertex, the sorted
-labels of its subtree: merging the children's lists and one bisection
-give the count.
+forest_stats builds the child lists once, with forest.upward_children:
+it also gives a breadth-first order from the roots reversed, which puts
+every vertex after its children, and rejects a bad parent sequence as
+validate_forest does.  inversion_counts sweeps that order keeping, per
+vertex, the sorted labels of its subtree: merging the children's lists
+and one bisection give the count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .forest import Forest, children_lists, upward_order
+from .forest import Forest, upward_children
 
 
-@dataclass(frozen=True)
-class ForestStats:
+class ForestStats(NamedTuple):
     n: int
     inv_at: tuple[int, ...]  # inv_at[v-1] is the count at vertex v
     inv_total: int
@@ -99,22 +98,22 @@ def subtree_label_lists(
 def forest_stats(f: Forest) -> ForestStats:
     """All inversion statistics of a forest in one pass."""
     n = f.n
-    ch = children_lists(f.parent)
-    inv = inversion_counts(ch, upward_order(ch))
+    ch, up = upward_children(f.parent)
+    inv_at = tuple(inversion_counts(ch, up)[1:])
     inv_type = [0] * (n + 1)
     leaders = []
-    for v in range(1, n + 1):
-        k = inv[v]
+    v = 0
+    for k in inv_at:
+        v += 1
         inv_type[k] += 1
         if not k:
             leaders.append(v)
-    inv_at = tuple(inv[1:])
     return ForestStats(
-        n=n,
-        inv_at=inv_at,
-        inv_total=sum(inv_at),
-        leaders=tuple(leaders),
-        lead=len(leaders),
-        tree=len(ch[0]),
-        inv_type=tuple(inv_type),
+        n,
+        inv_at,
+        sum(inv_at),
+        tuple(leaders),
+        len(leaders),
+        len(ch[0]),
+        tuple(inv_type),
     )

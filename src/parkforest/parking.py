@@ -23,23 +23,20 @@ of n+1 spaces, then rotate the labels so the empty space becomes n+1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from operator import index
-from typing import Sequence
+from operator import index, sub
+from typing import NamedTuple, Sequence
 
 from .errors import NotParkingFunctionError, OutOfRangeError
 
 
-@dataclass(frozen=True)
-class ParkOutcome:
+class ParkOutcome(NamedTuple):
     """Where each car ended up: slots[c-1] is the space taken by car c."""
 
     slots: tuple[int, ...]
     max_space: int
 
 
-@dataclass(frozen=True)
-class ParkingStats:
+class ParkingStats(NamedTuple):
     n: int
     slots: tuple[int, ...]
     jump_at: tuple[int, ...]  # jump_at[c-1] is the jump of car c
@@ -128,38 +125,38 @@ def parking_stats(prefs: Sequence[int]) -> ParkingStats:
     """All car statistics of a parking function in one pass."""
     prefs = tuple(prefs)
     n = len(prefs)
-    outcome = park(prefs)
-    if outcome.max_space > n:
+    slots, max_space = park(prefs)
+    if max_space > n:
         raise NotParkingFunctionError(f"{prefs} is not a parking function")
-    slots = outcome.slots
-    jump_at = []
+    jump_at = tuple(map(sub, slots, prefs))
     jump_type = [0] * (n + 1)
     lucky_cars = []
-    word = [0] * n
-    for c, (s, p) in enumerate(zip(slots, prefs), start=1):
-        j = s - p
-        jump_at.append(j)
+    c = 0
+    for j in jump_at:
+        c += 1
         jump_type[j] += 1
         if not j:
             lucky_cars.append(c)
-        word[s - 1] = c
+    # Car c is critical, a right-to-left maximum of the space word, when
+    # it parks right of every later car: read from car n down, its slot
+    # is a new record.
     crit = []
     best = 0
-    for car in reversed(word):
-        if car > best:
-            crit.append(car)
-            best = car
-    crit.reverse()
+    for s in reversed(slots):
+        if s > best:
+            crit.append(c)
+            best = s
+        c -= 1
     return ParkingStats(
-        n=n,
-        slots=slots,
-        jump_at=tuple(jump_at),
-        jump_total=sum(jump_at),
-        lucky_cars=tuple(lucky_cars),
-        lucky=len(lucky_cars),
-        critical_cars=tuple(crit),
-        critic=len(crit),
-        jump_type=tuple(jump_type),
+        n,
+        slots,
+        jump_at,
+        sum(jump_at),
+        tuple(lucky_cars),
+        len(lucky_cars),
+        tuple(crit),
+        len(crit),
+        tuple(jump_type),
     )
 
 

@@ -17,6 +17,7 @@ from parkforest import (
     all_forests,
     all_parking_functions,
     canonical_order,
+    forest_stats,
     forest_to_parking,
     inverse_relabel,
     inversion_counts,
@@ -409,12 +410,13 @@ def test_relabel_default_matches_literal_on_deep_shapes(shape):
     ],
 )
 def test_forward_rejects_what_validate_forest_rejects(parent, error):
-    # Forest does not validate.  The map raises the error validate_forest
-    # raises, instead of taking a bad parent for a root, failing on an
-    # index, or returning a sequence that does not park.
+    # Forest does not validate.  The map, the drawing and the inversion
+    # oracle raise the error validate_forest raises, instead of taking a
+    # bad parent for a root, failing on an index, or returning a sequence
+    # that does not park.
     with pytest.raises(error) as expected:
         validate_forest(parent)
-    for fn in (forest_to_parking, map_trace):
+    for fn in (forest_to_parking, map_trace, forest_stats, canonical_order):
         with pytest.raises(error) as got:
             fn(Forest(parent))
         assert str(got.value) == str(expected.value)

@@ -148,6 +148,17 @@ def test_verify_random_human(capsys):
     assert code == 0 and "25 forests" in out and "0 roundtrip failures" in out
 
 
+def test_verify_random_prints_its_seed(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "6", "--random", "10", "--json")
+    payload = json.loads(out)
+    assert code == 0 and isinstance(payload["seed"], int)
+    seed = str(payload["seed"])
+    code, out, _ = run(capsys, "verify", "--n", "6", "--random", "10", "--seed", seed)
+    assert code == 0 and out.rstrip().endswith(f"replay with --seed {seed}")
+    code, out, _ = run(capsys, "verify", "--n", "3")
+    assert code == 0 and "--seed" not in out
+
+
 def test_negative_random_count_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--n", "3", "--random", "-1")
     assert code == 2 and out == ""

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -190,6 +189,29 @@ def test_report_keys():
     }
 
 
+def test_random_check_reports_a_replayable_seed(monkeypatch):
+    # Without a seed the check draws one and reports it; the same seed
+    # draws the same forests, so a failing run can be replayed.
+    real = ex.forest_stats
+
+    def broken_on_deep(f):
+        s = real(f)
+        return s._replace(tree=s.tree + 1) if s.inv_total > 20 else s
+
+    monkeypatch.setattr(ex, "forest_stats", broken_on_deep)
+    first = verify_random(12, 30)
+    assert isinstance(first.seed, int)
+    assert first.as_report()["seed"] == first.seed
+    again = verify_random(12, 30, seed=first.seed)
+    assert again.seed == first.seed
+    counts = lambda r: (
+        r.forest_count, r.parking_function_count,
+        r.roundtrip_failures, r.stat_mismatches,
+    )
+    assert counts(again) == counts(first)
+    assert verify_random(12, 30, seed=7).seed == 7
+
+
 def test_budget_guards_reject_oversized_sweeps():
     with pytest.raises(BudgetExceededError):
         next(all_forests(9))
@@ -255,9 +277,9 @@ def test_non_parking_image_counts_once(monkeypatch):
 @pytest.mark.parametrize(
     "name, mutate",
     [
-        ("forest_stats", lambda s: replace(s, inv_at=(s.inv_at[0] + 1, *s.inv_at[1:]))),
-        ("parking_stats", lambda s: replace(s, critical_cars=s.critical_cars[1:])),
-        ("parking_stats", lambda s: replace(s, lucky=s.lucky + 1)),
+        ("forest_stats", lambda s: s._replace(inv_at=(s.inv_at[0] + 1, *s.inv_at[1:]))),
+        ("parking_stats", lambda s: s._replace(critical_cars=s.critical_cars[1:])),
+        ("parking_stats", lambda s: s._replace(lucky=s.lucky + 1)),
     ],
     ids=["inv_at", "critical_car_dropped", "lucky_shifted"],
 )

@@ -11,7 +11,8 @@ Forward direction, forest to parking function:
 
 Backward direction, parking function to forest:
 
-  1. append a final car preferring space 1 and park all n+1 cars;
+  1. append a final car preferring space 1 and park all n+1 cars; that
+     car ends on space n+1 exactly when the input is a parking function;
   2. read off the space word and each car's jump;
   3. rebuild the decreasingly labeled tree: each car's parent is the
      nearest larger car to its right in the word;
@@ -33,28 +34,30 @@ as large: O(n log n) interpreter steps in all.  The list shifts inside
 the pops run at C speed but can cost O(n) per vertex, so O(n^2) machine
 words on a path.
 
-Forward, the map walks the tree breadth first from the super-root
-(finding cycles), up for subtree sizes and maxima (hence the canonical
-order), down for postorder positions, then splits.  Backward, the space
-word lists the nearest-larger-right tree in postorder: one stack pass
-gives parent links and subtree sizes, and the word read backwards is the
-top-down order of the split.
+Forward, the map takes its drawing from forest._canonical_drawing, which
+canonical_order wraps into a tree.  That function walks the forest
+breadth first from the roots, finding cycles, then up for subtree sizes
+and maxima, which give the canonical order, and down for postorder
+positions; the map then splits.  Backward, the space word lists the
+nearest-larger-right tree in postorder: one stack pass gives parent
+links and subtree sizes, and the word read backwards is the top-down
+order of the split.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import index
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     InvalidInversionValueError,
     MalformedInputError,
     NotParkingFunctionError,
 )
-from .forest import Forest, OrderedTree, postorder, validate_forest
+from .forest import Forest, OrderedTree, _canonical_drawing, postorder
 from .forest_stats import subtree_label_lists
-from .parking import is_parking_function, park
+from .parking import park
 
 
 class LabelMap(NamedTuple):
@@ -87,7 +90,6 @@ def _relabel(
     size: Sequence[int],
     end: Sequence[int],
     po: Sequence[int],
-    down: Iterable[int],
     targets: Sequence[int],
 ) -> tuple[list[int], list[int]]:
     """Both relabelings in one top-down pass, splitting small off large.
@@ -95,16 +97,16 @@ def _relabel(
     Each vertex v gets the (targets[v]+1)-th smallest label of its
     subtree, as in inverse_relabel; size[v] - 1 asks for the largest, as
     in relabel_decreasing.  po is a postorder, so the subtree of v is
-    po[end[v] - size[v]:end[v]]; down lists every vertex before its
-    children, root first.  Returns (labels, rank): the label of each
-    vertex, and the number of smaller vertices below each.
+    po[end[v] - size[v]:end[v]], and po read backwards visits every
+    vertex before its children.  Returns (labels, rank): the label of
+    each vertex, and the number of smaller vertices below each.
     """
     m = len(po)
     out = list(range(m + 1))
     rank = [0] * (m + 1)
     # vertex -> the names and labels of its subtree, until it is visited
     got = {po[-1]: (out[1:], out[1:])}
-    for v in down:
+    for v in reversed(po):
         want = targets[v]
         if not 0 <= want < size[v]:
             raise InvalidInversionValueError(
@@ -177,7 +179,7 @@ def relabel_decreasing(
     targets = [s - 1 for s in size]
     if order is not None:
         return inverse_relabel(t, targets, order)
-    return tuple(_relabel(t.children, size, end, po, reversed(po), targets)[0])
+    return tuple(_relabel(t.children, size, end, po, targets)[0])
 
 
 def inverse_relabel(
@@ -200,7 +202,7 @@ def inverse_relabel(
         )
     if order is None:
         po, size, end = _sized_postorder(t)
-        return tuple(_relabel(t.children, size, end, po, reversed(po), targets)[0])
+        return tuple(_relabel(t.children, size, end, po, targets)[0])
     # Reference path: literal order-preserving reassignment at each step.
     order = _as_permutation(order, m)
     if order is None:
@@ -234,48 +236,10 @@ def _forward(f: Forest) -> tuple:
     in canonical order, pos[v] the postorder position, inv[v] the
     inversion count, newlab[v] the new label (the car of v).
     """
-    parent = f.parent
-    n = len(parent)
-    m = n + 1
-    children: list[list[int]] = [[] for _ in range(m + 1)]
-    # Forest does not validate.  On a bad parent sequence, validate_forest
-    # raises its own error for it.
-    for v, p in enumerate(parent, start=1):
-        if not 0 <= p <= n:
-            validate_forest(parent)
-        children[p or m].append(v)
-    order = [m]  # breadth first, so ancestors first
-    extend = order.extend
-    for v in order:
-        extend(children[v])
-    if len(order) < m:  # a vertex that never reaches a root
-        validate_forest(parent)
-    # Up: subtree sizes and maxima; the maxima give the canonical order.
-    size = [1] * (m + 1)
-    top = list(range(m + 1))
-    for v in order[:0:-1]:
-        p = parent[v - 1] or m
-        size[p] += size[v]
-        if top[v] > top[p]:
-            top[p] = top[v]
-    # Down: pos[v] holds the first postorder position of the subtree of v
-    # until v is visited, and the position of v itself from then on.
-    pos = [0] * (m + 1)
-    pos[m] = 1
-    po = [0] * (m + 1)
-    for v in order:
-        ch = children[v]
-        if ch:  # a leaf starts and ends its subtree
-            if len(ch) > 1:
-                ch.sort(key=top.__getitem__, reverse=True)
-            s = pos[v]
-            for c in ch:
-                pos[c] = s
-                s += size[c]
-            pos[v] = s
-        po[pos[v] - 1] = v
-    del po[m]
-    newlab, inv = _relabel(children, size, pos, po, order, [s - 1 for s in size])
+    children, size, pos, po = _canonical_drawing(f.parent)
+    m = len(po)
+    n = m - 1
+    newlab, inv = _relabel(children, size, pos, po, [s - 1 for s in size])
     # The super-root keeps label n+1 and, last in postorder with n
     # inversions, would prefer space 1; that car carries no information.
     prefs = [0] * n
@@ -344,20 +308,25 @@ def _backward(p: Sequence[int]) -> tuple:
     final car n+1 appended, where each car parked, the space word, the
     jump per car (index 0 a sentinel), the parent car in the
     nearest-larger-right tree and the recovered vertex of each car.
+    A sequence that is not a parking function, one with a preference
+    below 1 included, raises NotParkingFunctionError: parking decides it.
     """
     p = tuple(map(index, p))
-    if not is_parking_function(p):
-        raise NotParkingFunctionError(f"{p} is not a parking function")
     m = len(p) + 1
     prefs = p + (1,)
-    slots = park(prefs).slots
+    # The appended car prefers space 1, so it parks on space n+1 exactly
+    # when cars 1..n fill spaces 1..n: when p is a parking function.  park
+    # rejects a preference below 1, which no parking function has.
+    slots = park(prefs).slots if min(prefs) >= 1 else None
+    if slots is None or slots[-1] != m:
+        raise NotParkingFunctionError(f"{p} is not a parking function")
     word = [0] * m
     for c, s in enumerate(slots, start=1):
         word[s - 1] = c
     jumps = [0] + [s - q for s, q in zip(slots, prefs)]
     tparent, children, size = _nearest_larger_right(word)
     # A car's space is its position in the word.
-    orig = _relabel(children, size, (0,) + slots, word, reversed(word), jumps)[0]
+    orig = _relabel(children, size, (0,) + slots, word, jumps)[0]
     return prefs, slots, word, jumps, tparent, orig
 
 

@@ -45,7 +45,7 @@ from .bijection import forest_to_parking, parking_to_forest
 from .errors import BudgetExceededError, NotParkingFunctionError, OutOfRangeError
 from .forest import Forest
 from .forest_stats import forest_stats
-from .parking import parking_stats
+from .parking import _check_size, parking_stats
 
 # Sweeping all (n+1)^(n-1) objects stops being a desk-scale job right
 # after these sizes; anything larger must go through the random checks.
@@ -83,12 +83,8 @@ class VerificationReport:
 
 def forest_count(n: int) -> int:
     """Number of rooted labeled forests on n vertices, (n+1)^(n-1)."""
+    _check_size(n)
     return (n + 1) ** (n - 1) if n > 0 else 1
-
-
-def _check_size(n: int) -> None:
-    if n < 0:
-        raise OutOfRangeError(f"sizes start at 0, got n = {n}")
 
 
 def _root_reachers(head: tuple[int, ...], n: int) -> list[int] | None:

@@ -5,9 +5,9 @@ parent[v-1] is the parent of vertex v, with 0 standing for "v is a root".
 Every function here treats vertex labels as significant.  The canonical
 drawing hangs the forest under a super-root n+1, which adopts the roots,
 and sorts every child list by decreasing subtree maximum; that order is
-what makes the forest-to-parking-function map injective.  canonical_order
-is its reference, which the tests compare the map against, and
-bijection._forward computes the same drawing on its own.
+what makes the forest-to-parking-function map injective.  One function,
+_canonical_drawing, draws it for both of its callers: canonical_order
+wraps the drawing into an OrderedTree, and bijection._forward relabels it.
 """
 
 from __future__ import annotations
@@ -106,6 +106,44 @@ def upward_children(parent: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     return ch, order
 
 
+def _canonical_drawing(parent: Sequence[int]) -> tuple:
+    """The drawing canonical_order returns, as lists indexed by vertex
+    0..n+1: (children, size, pos, po), with children[0] empty, size[v] the
+    subtree size of v and pos[v] its 1-based position in the postorder po.
+    A bad parent sequence raises validate_forest's error.
+    """
+    m = len(parent) + 1
+    children, up = upward_children(parent)
+    children.append(children[0])
+    children[0] = []
+    # Up: subtree sizes and maxima; the maxima give the canonical order.
+    size = [1] * (m + 1)
+    top = list(range(m + 1))
+    for v in up:
+        p = parent[v - 1] or m
+        size[p] += size[v]
+        if top[v] > top[p]:
+            top[p] = top[v]
+    # Down: pos[v] holds the first postorder position of the subtree of v
+    # until v is visited, and the position of v itself from then on.
+    pos = [0] * (m + 1)
+    pos[m] = 1
+    po = [0] * m
+    up.append(m)
+    for v in reversed(up):
+        ch = children[v]
+        if ch:  # a leaf starts and ends its subtree
+            if len(ch) > 1:
+                ch.sort(key=top.__getitem__, reverse=True)
+            s = pos[v]
+            for c in ch:
+                pos[c] = s
+                s += size[c]
+            pos[v] = s
+        po[pos[v] - 1] = v
+    return children, size, pos, po
+
+
 def canonical_order(f: Forest) -> OrderedTree:
     """The canonical drawing of f under a super-root labeled n+1.
 
@@ -114,17 +152,7 @@ def canonical_order(f: Forest) -> OrderedTree:
     """
     parent = f.parent
     m = len(parent) + 1
-    ch, up = upward_children(parent)
-    top = list(range(m))  # subtree maxima, folded up child by child
-    for v in up:
-        p = parent[v - 1]
-        if top[v] > top[p]:
-            top[p] = top[v]
-    ch.append(ch[0])
-    ch[0] = []
-    for lst in ch:
-        if len(lst) > 1:
-            lst.sort(key=top.__getitem__, reverse=True)
+    ch = _canonical_drawing(parent)[0]
     tparent = (0,) + tuple(p or m for p in parent) + (0,)
     return OrderedTree(m, tparent, tuple(map(tuple, ch)))
 

@@ -160,6 +160,11 @@ def parking_stats(prefs: Sequence[int]) -> ParkingStats:
     )
 
 
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise OutOfRangeError(f"sizes start at 0, got n = {n}")
+
+
 def sample_parking_function(n: int, rng: random.Random) -> tuple[int, ...]:
     """Draw a parking function of length n uniformly at random.
 
@@ -174,6 +179,7 @@ def sample_parking_function(n: int, rng: random.Random) -> tuple[int, ...]:
     round last.  They fill the free spaces of 1..n+1 from the left, and
     there is one more of those than of them: the last one stays empty.
     """
+    _check_size(n)
     m = n + 1
     a = [rng.randrange(m) for _ in range(n)]  # 0-indexed circle positions
     taken = bytearray(m + 1)

@@ -1,5 +1,6 @@
 """The two directions of the map, the relabelings, and their goldens."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -28,6 +29,7 @@ from parkforest import (
     sample_forest,
     sample_parking_function,
     relabel_decreasing,
+    sorted_parking_test,
     validate_forest,
 )
 from parkforest.bijection import map_trace, unmap_trace
@@ -55,10 +57,20 @@ def test_backward_tiny_by_hand():
 
 
 def test_backward_rejects_non_parking():
-    with pytest.raises(NotParkingFunctionError):
-        parking_to_forest((2, 2))
-    with pytest.raises(NotParkingFunctionError):
-        parking_to_forest((4, 3, 3, 1, 5))
+    # The map returns exactly on the words the independent sorted test
+    # accepts, and rejects every other one as not a parking function,
+    # never as out of range, even with a preference below 1 or far past n.
+    words = [
+        w for n in range(5) for w in itertools.product(range(-1, n + 3), repeat=n)
+    ]
+    words += [(0,), (-3, 1), (1, 10**12), (2, 2), (4, 3, 3, 1, 5)]
+    for w in words:
+        if sorted_parking_test(w):
+            assert forest_to_parking(parking_to_forest(w)[0])[0] == w
+        else:
+            with pytest.raises(NotParkingFunctionError) as got:
+                parking_to_forest(w)
+            assert str(got.value) == f"{w} is not a parking function"
 
 
 def test_label_map_shape():

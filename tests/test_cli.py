@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,26 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+import parkforest.exhaustive
 from parkforest import InputError
 from parkforest.cli import build_parser, main, parse_input
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# What map --trace --json 2,0,4,2,0 prints; valid output must not change.
+MAP_TRACE_20420 = (
+    '{"canonicalChildren": {"1": [], "2": [4, 1], "3": [], "4": [3], "5": []}, '
+    '"canonicalRoots": [5, 2], "labelMap": {"carToVertex": [1, 3, 4, 2, 5], '
+    '"vertexToCar": [1, 4, 2, 3, 5]}, "n": 5, "parent": [2, 0, 4, 2, 0], '
+    '"parking": [4, 2, 2, 4, 1], "postorder": [5, 3, 4, 1, 2, 6], '
+    '"rows": [{"car": 1, "inversions": 0, "position": 4, "preference": 4, '
+    '"vertex": 1}, {"car": 2, "inversions": 0, "position": 2, "preference": 2, '
+    '"vertex": 3}, {"car": 3, "inversions": 1, "position": 3, "preference": 2, '
+    '"vertex": 4}, {"car": 4, "inversions": 1, "position": 5, "preference": 4, '
+    '"vertex": 2}, {"car": 5, "inversions": 0, "position": 1, "preference": 1, '
+    '"vertex": 5}, {"car": 6, "inversions": 5, "position": 6, "preference": 1, '
+    '"vertex": 6}], "superRoot": 6}\n'
+)
 
 
 def run(capsys, *argv):
@@ -159,6 +176,25 @@ def test_verify_random_prints_its_seed(capsys):
     assert code == 0 and "--seed" not in out
 
 
+def test_verify_exits_1_on_a_broken_map(capsys, monkeypatch):
+    # Swapping the first two preferences keeps a parking function but
+    # breaks the round trip whenever they differ.
+    real = parkforest.exhaustive.forest_to_parking
+
+    def swapped(f):
+        p, lmap = real(f)
+        if len(p) > 1:
+            p = (p[1], p[0]) + p[2:]
+        return p, lmap
+
+    monkeypatch.setattr(parkforest.exhaustive, "forest_to_parking", swapped)
+    code, out, _ = run(capsys, "verify", "--n", "4", "--json")
+    assert code == 1 and json.loads(out)["roundtripFailures"] > 0
+    code, out, _ = run(capsys, "verify", "--n", "30", "--random", "5", "--seed", "1")
+    failures = re.search(r"(\d+) roundtrip failures", out)
+    assert code == 1 and int(failures.group(1)) > 0
+
+
 def test_negative_random_count_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--n", "3", "--random", "-1")
     assert code == 2 and out == ""
@@ -198,6 +234,8 @@ def test_json_output_is_byte_stable(capsys):
     _, a, _ = run(capsys, "stats", "--json", "0,1,1")
     _, b, _ = run(capsys, "stats", "--json", "0,1,1")
     assert a == b
+    _, out, _ = run(capsys, "map", "--trace", "--json", "2,0,4,2,0")
+    assert out == MAP_TRACE_20420
 
 
 def test_trace_outputs_n14_table(capsys):

@@ -170,6 +170,11 @@ def test_verify_random_rejects_negative_counts_and_sizes():
     assert verify_random(3, 0).forest_count == 0
 
 
+def test_forest_count_rejects_negative_sizes():
+    with pytest.raises(OutOfRangeError, match="sizes start at 0, got n = -1"):
+        forest_count(-1)
+
+
 def test_sample_forest_valid_and_exhaustive_reach():
     rng = random.Random(17)
     for _ in range(200):

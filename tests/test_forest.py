@@ -14,6 +14,7 @@ from parkforest import (
     preorder,
     validate_forest,
 )
+from parkforest.bijection import map_trace
 from parkforest.forest import children_lists
 
 
@@ -154,3 +155,12 @@ def test_canonical_children_strictly_decreasing(f):
         maxima = [submax[c] for c in lst]
         assert maxima == sorted(maxima, reverse=True)
         assert len(set(maxima)) == len(maxima)
+    # The forward map draws the same way, checked here against the brute
+    # force maxima rather than against canonical_order.
+    def drawn(u):
+        kids = [v for v in range(1, f.n + 1) if f.parent[v - 1] == u]
+        return sorted(kids, key=submax.__getitem__, reverse=True)
+
+    tr = map_trace(f)
+    assert tr["canonicalRoots"] == drawn(0)
+    assert tr["canonicalChildren"] == {str(v): drawn(v) for v in range(1, f.n + 1)}

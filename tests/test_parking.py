@@ -147,6 +147,11 @@ def test_sampler_only_produces_parking_functions():
     assert sample_parking_function(0, rng) == ()
 
 
+def test_sampler_rejects_negative_sizes():
+    with pytest.raises(OutOfRangeError, match="sizes start at 0, got n = -1"):
+        sample_parking_function(-1, random.Random(1))
+
+
 def test_sampler_reaches_everything():
     rng = random.Random(5)
     seen = {sample_parking_function(3, rng) for _ in range(2000)}

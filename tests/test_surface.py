@@ -1,5 +1,7 @@
-"""The public names, and the module functions the benchmark traces by name."""
+"""The public names, the module functions the benchmark traces by name,
+and no unused imports in the package modules."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -69,3 +71,20 @@ def test_public_surface_and_traced_layers_exist(monkeypatch):
         for name in names:
             assert callable(getattr(mod, name, None)), f"parkforest.{module}.{name}"
     assert issubclass(importlib.import_module("parkforest.cli").InputError, Exception)
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py imports to re-export, so it is the one module skipped.
+    src = Path(parkforest.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"

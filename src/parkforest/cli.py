@@ -128,9 +128,14 @@ def _parse(text: str, want: str, message: str) -> list[int]:
 
 def _parse_forest(text: str) -> Forest:
     # A forest without roots cannot exist, so a 0-free plain sequence
-    # only reaches here when the user really meant a parent sequence.
-    message = 'expected a parent sequence (with 0 for roots) or a {"parent": [...]} object'
-    return validate_forest(_parse(text, "forest", message))
+    # only reaches here when the user really meant a parent sequence;
+    # but the empty plain sequence is the empty forest, which has none.
+    kind, values = parse_input(text)
+    if kind != "forest" and (values or text.lstrip().startswith("{")):
+        raise MalformedInputError(
+            'expected a parent sequence (with 0 for roots) or a {"parent": [...]} object'
+        )
+    return validate_forest(values)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,17 @@ it also gives a breadth-first order from the roots reversed, which puts
 every vertex after its children, and rejects a bad parent sequence as
 validate_forest does.  inversion_counts sweeps that order keeping, per
 vertex, the sorted labels of its subtree: merging the children's lists
-and one bisection give the count.
+and one bisection give the count, and the vertex goes in where the
+bisection stopped.  A vertex with one child takes that child's list as
+it is, since it is sorted already, so a path costs one bisection and one
+insertion per vertex: linear time when the labels fall towards the root,
+and C-level list shifts when they rise.  Several children still cost a
+C-level sort of their merged lists.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 from .forest import Forest, upward_children
@@ -64,12 +69,13 @@ def inversion_counts(
         if ch:
             merged = labels[ch[0]]
             labels[ch[0]] = None
-            for c in ch[1:]:
-                merged += labels[c]
-                labels[c] = None
-            merged.sort()
-            inv[v] = bisect_left(merged, v)
-            insort(merged, v)
+            if len(ch) > 1:
+                for c in ch[1:]:
+                    merged += labels[c]
+                    labels[c] = None
+                merged.sort()
+            inv[v] = i = bisect_left(merged, v)
+            merged.insert(i, v)
         else:
             merged = [v]
         labels[v] = merged

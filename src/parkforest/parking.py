@@ -23,6 +23,7 @@ of n+1 spaces, then rotate the labels so the empty space becomes n+1.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from operator import index, sub
 from typing import NamedTuple, Sequence
 
@@ -68,19 +69,25 @@ def park(prefs: Sequence[int]) -> ParkOutcome:
     spill is how a sequence fails the parking test.
     """
     # Union-find "next free space" with path compression (Tarjan 1975):
-    # nxt[s] is set exactly when space s is taken, and points at a space
-    # no further right than the first free one after s.  Memory is one
-    # entry per car, whatever the preference values.  A non-integer
-    # preference is a TypeError, raised before any car parks.
-    nxt: dict[int, int] = {}
+    # nxt[s] is nonzero exactly when space s is taken, and points at a
+    # space no further right than the first free one after s.  When no
+    # car prefers a space past 2n, nxt is a list of 3n+2 zeros: a car
+    # passes at most n-1 taken spaces, so no slot goes past 3n-1 and no
+    # pointer past 3n.  Past that bound it is a defaultdict, holding one
+    # entry per taken space, so memory stays linear in n whatever the
+    # preference values.  A non-integer preference is a TypeError,
+    # raised before any car parks.
+    prefs = list(map(index, prefs))
+    n = len(prefs)
+    nxt = [0] * (3 * n + 2) if max(prefs, default=0) <= 2 * n else defaultdict(int)
     slots = []
     append = slots.append
-    for c, p in enumerate(list(map(index, prefs)), start=1):
+    for c, p in enumerate(prefs, start=1):
         if p < 1:
             raise OutOfRangeError(f"car {c} prefers space {p}; spaces start at 1")
         s = p
-        if s in nxt:  # taken: find the first free space, then compress
-            while s in nxt:
+        if nxt[s]:  # taken: find the first free space, then compress
+            while nxt[s]:
                 s = nxt[s]
             while p != s:
                 nxt[p], p = s + 1, nxt[p]

@@ -87,6 +87,23 @@ def test_map_requires_forest_shape(capsys):
     assert code == 2 and "parent" in err
 
 
+@pytest.mark.parametrize("text", ["[]", "", " "])
+def test_map_reads_the_empty_plain_sequence_as_the_empty_forest(capsys, text):
+    # A nonempty forest has a root, so a 0-free plain sequence is
+    # preferences; but the empty sequence is also the empty forest.
+    for flags in ([], ["--json"], ["--trace"], ["--trace", "--json"]):
+        want = run(capsys, "map", *flags, '{"parent": []}')
+        assert want[0] == 0
+        assert run(capsys, "map", *flags, text) == want
+    assert run(capsys, "map", text) == (0, "(empty)\n", "")
+    # An explicit parking object stays the wrong kind for map, and stats
+    # still reads the empty plain sequence as preferences.
+    code, _, err = run(capsys, "map", '{"parking": []}')
+    assert code == 2 and "parent" in err
+    code, out, _ = run(capsys, "stats", "--json", text)
+    assert code == 0 and json.loads(out)["q"] == []
+
+
 def test_pa_golden(capsys):
     code, out, _ = run(capsys, "pa", "--json", "4,3,3,1,5")
     assert code == 0

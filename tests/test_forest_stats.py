@@ -1,5 +1,7 @@
 """Inversion statistics against a naive quadratic oracle."""
 
+import time
+
 from hypothesis import given
 
 from parkforest import (
@@ -99,3 +101,19 @@ def test_every_leaf_is_a_leader():
             leaves = {v for v in range(1, n + 1) if v not in has_child}
             assert leaves <= set(fs.leaders)
             assert fs.lead >= len(leaves)
+
+
+def test_forest_stats_time_is_near_linear_on_a_path():
+    # A lone child's sorted label list is taken as it is, so each vertex
+    # of a path costs one bisection and one append.  Quadratic time
+    # would grow 16-fold from n = 5,000 to n = 20,000.
+    def best_of_3(n):
+        f = Forest(tuple(range(2, n + 1)) + (0,))  # parent[v] = v + 1
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            forest_stats(f)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_3(20_000) <= 8 * best_of_3(5_000)

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from itertools import product
 from math import comb
 
 import pytest
@@ -234,6 +235,25 @@ def test_park_rejects_a_non_integer_preference(prefs):
     # OutOfRangeError.
     with pytest.raises(TypeError):
         park(prefs)
+
+
+def test_park_matches_probing_on_both_sides_of_the_list_bound():
+    # park keeps its next-free pointers in a list while no preference
+    # passes 2n, and in a dict beyond: words over 1..2n+2 have maxima
+    # 2n, 2n+1 and 2n+2.
+    for n in range(5):
+        for prefs in product(range(1, 2 * n + 3), repeat=n):
+            out = park(prefs)
+            assert out.slots == park_by_probing(prefs)
+            assert out.max_space == max(out.slots, default=0)
+
+
+def test_park_pileups_at_the_list_bound():
+    # Every car prefers 2n: the last one parks on 3n-1, the list's last
+    # used entry.  One space further right takes the dict.
+    n = 1000
+    assert park((2 * n,) * n).slots == tuple(range(2 * n, 3 * n))
+    assert park((2 * n + 1,) * n).slots == tuple(range(2 * n + 1, 3 * n + 1))
 
 
 def test_park_memory_does_not_grow_with_preference_values():

@@ -32,16 +32,18 @@ hands the lists to its largest child and bisects the other children's
 entries out.  An entry is bisected out only into a subtree at most half
 as large: O(n log n) interpreter steps in all.  The list shifts inside
 the pops run at C speed but can cost O(n) per vertex, so O(n^2) machine
-words on a path.
+words on a path.  A child that takes the lists and is the next vertex
+of the sweep gets them as they are; only the others wait in a dict.
 
 Forward, the map takes its drawing from forest._canonical_drawing, which
-canonical_order wraps into a tree.  That function walks the forest
-breadth first from the roots, finding cycles, then up for subtree sizes
-and maxima, which give the canonical order, and down for postorder
-positions; the map then splits.  Backward, the space word lists the
-nearest-larger-right tree in postorder: one stack pass gives parent
-links and subtree sizes, and the word read backwards is the top-down
-order of the split.
+canonical_order wraps into a tree.  That function walks up from each
+vertex, largest first, until a vertex already reached, so the child
+lists come out in canonical order with no sort and a cycle shows as a
+walk meeting itself; one stack pass then gives the postorder, and one
+pass over it sizes and positions.  The map then splits.  Backward, the
+space word lists the nearest-larger-right tree in postorder: one stack
+pass gives parent links and subtree sizes, and the word read backwards
+is the top-down order of the split.
 """
 
 from __future__ import annotations
@@ -104,8 +106,12 @@ def _relabel(
     m = len(po)
     out = list(range(m + 1))
     rank = [0] * (m + 1)
-    # vertex -> the names and labels of its subtree, until it is visited
-    got = {po[-1]: (out[1:], out[1:])}
+    # names and labels belong to the subtree of held, the vertex visited
+    # next when it is a lone child, or the largest child whose subtree
+    # ends just before its parent; other lists wait in got.
+    held = po[-1]
+    names, labels = out[1:], out[1:]
+    got = {}
     for v in reversed(po):
         want = targets[v]
         if not 0 <= want < size[v]:
@@ -115,7 +121,8 @@ def _relabel(
         ch = children[v]
         if not ch:
             continue  # a leaf's one label is written when its parent splits
-        names, labels = got.pop(v)
+        if v != held:
+            names, labels = got.pop(v)
         out[v] = labels.pop(want)
         rank[v] = i = bisect_left(names, v)
         del names[i]
@@ -124,7 +131,7 @@ def _relabel(
             if size[c] == 1:
                 out[c] = labels[0]
             else:
-                got[c] = names, labels
+                held = c  # the next vertex
             continue
         big = max(ch, key=size.__getitem__)
         for c in ch:
@@ -144,6 +151,8 @@ def _relabel(
             got[c] = sub, mine
         if size[big] == 1:
             out[big] = labels[0]
+        elif end[big] == end[v] - 1:
+            held = big  # the next vertex
         else:
             got[big] = names, labels
     return out, rank

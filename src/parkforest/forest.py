@@ -4,10 +4,13 @@ A forest on n vertices labeled 1..n is stored as a parent sequence:
 parent[v-1] is the parent of vertex v, with 0 standing for "v is a root".
 Every function here treats vertex labels as significant.  The canonical
 drawing hangs the forest under a super-root n+1, which adopts the roots,
-and sorts every child list by decreasing subtree maximum; that order is
+and draws every child list by decreasing subtree maximum; that order is
 what makes the forest-to-parking-function map injective.  One function,
 _canonical_drawing, draws it for both of its callers: canonical_order
 wraps the drawing into an OrderedTree, and bijection._forward relabels it.
+It sorts nothing: walks up from u = n, ..., 1 reach each vertex first
+from the maximum of its subtree, so each child joins its parent's list
+in canonical order, and a walk that meets itself has found a cycle.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def children_lists(parent: Sequence[int]) -> list[list[int]]:
 def upward_children(parent: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     """The child lists of a forest (index 0 holds the roots) and an order
     putting every vertex after all of its children: breadth first from
-    the roots, reversed.
+    the roots, reversed.  Its one caller is forest_stats.
 
     Forest does not validate.  On a bad parent sequence this raises the
     error validate_forest raises for it, found by one range check and one
@@ -111,36 +114,50 @@ def _canonical_drawing(parent: Sequence[int]) -> tuple:
     0..n+1: (children, size, pos, po), with children[0] empty, size[v] the
     subtree size of v and pos[v] its 1-based position in the postorder po.
     A bad parent sequence raises validate_forest's error.
+
+    The claim walk: for u = n, ..., 1 in turn, walk up from u through the
+    vertices no earlier walk has claimed, claiming each for u and
+    appending it to its parent's child list.  The first walk to reach a
+    vertex starts at the maximum of its subtree, so every child list
+    fills by decreasing subtree maximum, in canonical order with no sort.
+    A walk that meets a vertex it claimed itself has gone round a cycle,
+    and validate_forest then names the error.
     """
-    m = len(parent) + 1
-    children, up = upward_children(parent)
+    n = len(parent)
+    m = n + 1
+    if parent and (min(parent) < 0 or max(parent) > n):
+        validate_forest(parent)
+    # Vertex 0 stands in for the super-root m until the sizes are done.
+    par = (0, *parent)
+    children: list[list[int]] = [[] for _ in range(m)]
+    top = [0] * m  # the walk that claimed each vertex, 0 for none yet
+    top[0] = m
+    for u in range(n, 0, -1):
+        v = u
+        while not top[v]:
+            top[v] = u
+            p = par[v]
+            children[p].append(v)
+            v = p
+        if top[v] == u:
+            validate_forest(parent)
     children.append(children[0])
     children[0] = []
-    # Up: subtree sizes and maxima; the maxima give the canonical order.
-    size = [1] * (m + 1)
-    top = list(range(m + 1))
-    for v in up:
-        p = parent[v - 1] or m
-        size[p] += size[v]
-        if top[v] > top[p]:
-            top[p] = top[v]
-    # Down: pos[v] holds the first postorder position of the subtree of v
-    # until v is visited, and the position of v itself from then on.
+    po = []  # one stack pass, as postorder makes it
+    stack = [m]
+    while stack:
+        v = stack.pop()
+        po.append(v)
+        stack.extend(children[v])
+    po.reverse()
+    size = [1] * m
     pos = [0] * (m + 1)
-    pos[m] = 1
-    po = [0] * m
-    up.append(m)
-    for v in reversed(up):
-        ch = children[v]
-        if ch:  # a leaf starts and ends its subtree
-            if len(ch) > 1:
-                ch.sort(key=top.__getitem__, reverse=True)
-            s = pos[v]
-            for c in ch:
-                pos[c] = s
-                s += size[c]
-            pos[v] = s
-        po[pos[v] - 1] = v
+    for v, i in zip(po, range(1, m)):  # all but the super-root, last
+        pos[v] = i
+        size[par[v]] += size[v]
+    size.append(size[0])
+    size[0] = 1
+    pos[m] = m
     return children, size, pos, po
 
 

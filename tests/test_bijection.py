@@ -33,6 +33,7 @@ from parkforest import (
     validate_forest,
 )
 from parkforest.bijection import map_trace, unmap_trace
+from parkforest.forest import OrderedTree, _canonical_drawing
 
 from test_forest import forests
 
@@ -409,6 +410,37 @@ def test_relabel_default_matches_literal_on_deep_shapes(shape):
     assert all(orig[lab[v]] == v for v in range(1, t.root + 1))
 
 
+def _brute_drawing(parent):
+    """The canonical drawing from its definition: sizes and maxima from
+    every parent chain, child lists sorted by maximum, and postorder."""
+    m = len(parent) + 1
+    up = (0, *(p or m for p in parent), 0)
+    size = [1] * (m + 1)
+    top = list(range(m + 1))
+    children = [[] for _ in range(m + 1)]
+    for v in range(1, m):
+        children[up[v]].append(v)
+        u = up[v]
+        while u:
+            size[u] += 1
+            top[u] = max(top[u], v)
+            u = up[u]
+    for ch in children:
+        ch.sort(key=top.__getitem__, reverse=True)
+    po = postorder(OrderedTree(m, up, tuple(map(tuple, children))))
+    pos = [0] * (m + 1)
+    for i, v in enumerate(po, start=1):
+        pos[v] = i
+    return children, size, pos, list(po)
+
+
+def test_canonical_drawing_matches_brute_force():
+    cases = [f for n in range(7) for f in all_forests(n)]
+    cases += [deep_forest(shape, 200) for shape in DEEP_SHAPES]
+    for f in cases:
+        assert _canonical_drawing(f.parent) == _brute_drawing(f.parent), f
+
+
 @pytest.mark.parametrize(
     "parent, error",
     [
@@ -419,6 +451,8 @@ def test_relabel_default_matches_literal_on_deep_shapes(shape):
         ((-1, 0), OutOfRangeError),
         ((0, 3), OutOfRangeError),
         ((5, 0), OutOfRangeError),
+        ((2, 3, 2), CycleError),  # a tail into a cycle
+        ((0, 3, 4, 2), CycleError),  # a 3-cycle beside a root
     ],
 )
 def test_forward_rejects_what_validate_forest_rejects(parent, error):

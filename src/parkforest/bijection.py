@@ -21,19 +21,19 @@ Backward direction, parking function to forest:
   5. strip the super-root.
 
 Both relabelings process each vertex once, in any order, with the same
-result (by default in the reversed postorder they compute anyway): along
-any ancestors-first sweep, the current labels of the strict descendants
+result (by default in the split below, largest child first): along any
+ancestors-first sweep, the current labels of the strict descendants
 of the vertex in hand keep the relative order of their names.
 relabel_decreasing is inverse_relabel with every vertex asking for the
 top rank, and one top-down split does both.  Each vertex holds two
 aligned sorted lists, the names in its subtree and the labels they hold;
 it pops its label by rank, drops its name (at its inversion count),
-hands the lists to its largest child and bisects the other children's
-entries out.  An entry is bisected out only into a subtree at most half
-as large: O(n log n) interpreter steps in all.  The list shifts inside
-the pops run at C speed but can cost O(n) per vertex, so O(n^2) machine
-words on a path.  A child that takes the lists and is the next vertex
-of the sweep gets them as they are; only the others wait in a dict.
+bisects the lighter children's entries out and hands the lists to its
+largest child, the vertex it sweeps next.  The lighter subtrees wait on
+a stack with lists of their own.  An entry is bisected out only into a
+subtree at most half as large: O(n log n) interpreter steps in all.  The
+list shifts inside the pops run at C speed but can cost O(n) per vertex,
+so O(n^2) machine words on a path.
 
 Forward, the map takes its drawing from forest._canonical_drawing, which
 canonical_order wraps into a tree.  That function walks up from each
@@ -98,70 +98,53 @@ def _relabel(
 
     Each vertex v gets the (targets[v]+1)-th smallest label of its
     subtree, as in inverse_relabel; size[v] - 1 asks for the largest, as
-    in relabel_decreasing.  po is a postorder, so the subtree of v is
-    po[end[v] - size[v]:end[v]], and po read backwards visits every
-    vertex before its children.  Returns (labels, rank): the label of
-    each vertex, and the number of smaller vertices below each.
+    in relabel_decreasing.  The targets are not checked.  po is a
+    postorder ending in the root, so the subtree of v is
+    po[end[v] - size[v]:end[v]].  Each vertex hands its lists to its
+    largest child, the vertex swept next.  Of the lighter children, a
+    leaf gets its label at once and a larger subtree waits on a stack
+    with lists of its own.  Returns (labels, rank): the label of each
+    vertex, and the number of smaller vertices below each.
     """
     m = len(po)
     out = list(range(m + 1))
     rank = [0] * (m + 1)
-    # names and labels belong to the subtree of held, the vertex visited
-    # next when it is a lone child, or the largest child whose subtree
-    # ends just before its parent; other lists wait in got.
-    held = po[-1]
-    names, labels = out[1:], out[1:]
-    got = {}
-    for v in reversed(po):
-        want = targets[v]
-        if not 0 <= want < size[v]:
-            raise InvalidInversionValueError(
-                f"vertex {v} wants rank {want} in a subtree of size {size[v]}"
-            )
-        ch = children[v]
-        if not ch:
-            continue  # a leaf's one label is written when its parent splits
-        if v != held:
-            names, labels = got.pop(v)
-        out[v] = labels.pop(want)
-        rank[v] = i = bisect_left(names, v)
-        del names[i]
-        if len(ch) == 1:
-            c = ch[0]
-            if size[c] == 1:
-                out[c] = labels[0]
-            else:
-                held = c  # the next vertex
-            continue
-        big = max(ch, key=size.__getitem__)
-        for c in ch:
-            if c == big:
+    stack = [(po[-1], out[1:], out[1:])] if po else []
+    while stack:
+        v, names, labels = stack.pop()
+        while size[v] > 1:
+            out[v] = labels.pop(targets[v])
+            rank[v] = i = bisect_left(names, v)
+            del names[i]
+            ch = children[v]
+            if len(ch) == 1:
+                v = ch[0]  # the largest child, with no max to take
                 continue
-            if size[c] == 1:
-                i = bisect_left(names, c)
-                del names[i]
-                out[c] = labels.pop(i)
-                continue
-            sub = sorted(po[end[c] - size[c] : end[c]])
-            mine = []
-            for u in sub:
-                i = bisect_left(names, u)
-                del names[i]
-                mine.append(labels.pop(i))
-            got[c] = sub, mine
-        if size[big] == 1:
-            out[big] = labels[0]
-        elif end[big] == end[v] - 1:
-            held = big  # the next vertex
-        else:
-            got[big] = names, labels
+            big = max(ch, key=size.__getitem__)
+            for c in ch:
+                if c == big:
+                    continue
+                if size[c] == 1:
+                    i = bisect_left(names, c)
+                    del names[i]
+                    out[c] = labels.pop(i)
+                    continue
+                sub = sorted(po[end[c] - size[c] : end[c]])
+                mine = []
+                for u in sub:
+                    i = bisect_left(names, u)
+                    del names[i]
+                    mine.append(labels.pop(i))
+                stack.append((c, sub, mine))
+            v = big
+        out[v] = labels[0]  # a leaf, with one label left
     return out, rank
 
 
 def _sized_postorder(t: OrderedTree) -> tuple:
     """The postorder of t, and per vertex its subtree size and 1-based
-    position in it."""
-    po = postorder(t)
+    position in it.  The tree with no vertex, root 0, has none."""
+    po = postorder(t) if t.root else ()
     size = [1] * (t.root + 1)
     end = [0] * (t.root + 1)
     for i, v in enumerate(po, start=1):
@@ -199,8 +182,10 @@ def inverse_relabel(
     Processing vertex v hands it the (targets[v]+1)-th smallest current
     label in its subtree, so exactly targets[v] strict descendants of v
     end up below it; the remaining labels are redistributed over the
-    strict descendants order-preservingly.  Order independent, reversed
-    postorder by default.
+    strict descendants order-preservingly.  Order independent.  By
+    default every target is checked first, in reversed postorder, and
+    one split then relabels; a processing order given checks each
+    target when it processes its vertex.
 
     Returns labels with labels[v] the recovered label of vertex v.
     """
@@ -211,6 +196,12 @@ def inverse_relabel(
         )
     if order is None:
         po, size, end = _sized_postorder(t)
+        for v in reversed(po):
+            want = targets[v]
+            if not 0 <= want < size[v]:
+                raise InvalidInversionValueError(
+                    f"vertex {v} wants rank {want} in a subtree of size {size[v]}"
+                )
         return tuple(_relabel(t.children, size, end, po, targets)[0])
     # Reference path: literal order-preserving reassignment at each step.
     order = _as_permutation(order, m)
@@ -334,7 +325,11 @@ def _backward(p: Sequence[int]) -> tuple:
         word[s - 1] = c
     jumps = [0] + [s - q for s, q in zip(slots, prefs)]
     tparent, children, size = _nearest_larger_right(word)
-    # A car's space is its position in the word.
+    # Each jump is a rank _relabel can give: a car that jumped from space
+    # q to space s passed q..s-1, all held by earlier, so smaller, cars.
+    # No entry between any of them and the car is larger, so all of them
+    # hang below it: jumps[c] < size[c].  A car's space is its position
+    # in the word.
     orig = _relabel(children, size, (0,) + slots, word, jumps)[0]
     return prefs, slots, word, jumps, tparent, orig
 

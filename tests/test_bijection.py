@@ -1,8 +1,10 @@
 """The two directions of the map, the relabelings, and their goldens."""
 
 import itertools
+import math
 import random
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,7 @@ from parkforest import (
     sorted_parking_test,
     validate_forest,
 )
+from parkforest import bijection
 from parkforest.bijection import map_trace, unmap_trace
 from parkforest.forest import OrderedTree, _canonical_drawing
 
@@ -174,6 +177,19 @@ def test_inverse_relabel_rejects_bad_targets():
         inverse_relabel(t, (0, 2, 0, 2), order=[2, 1, 3])
     with pytest.raises(MalformedInputError):
         inverse_relabel(t, (0, 0, 0))
+    # Two bad targets: leaf 2 comes before inner vertex 3 in reversed
+    # postorder (5, 4, 2, 3, 1), so the default path names the leaf,
+    # though its split never visits a leaf.
+    t = nearest_larger_right_tree((1, 3, 2, 4, 5))
+    with pytest.raises(InvalidInversionValueError) as got:
+        inverse_relabel(t, (0, 0, 1, 5, 0, 0))
+    assert str(got.value) == "vertex 2 wants rank 1 in a subtree of size 1"
+
+
+def test_relabelings_of_the_empty_tree():
+    t = nearest_larger_right_tree(())
+    assert relabel_decreasing(t) == relabel_decreasing(t, ()) == (0,)
+    assert inverse_relabel(t, (0,)) == inverse_relabel(t, (0,), ()) == (0,)
 
 
 def test_nearest_larger_right_tree_n14_shape():
@@ -408,6 +424,58 @@ def test_relabel_default_matches_literal_on_deep_shapes(shape):
     orig = inverse_relabel(d, targets)
     assert orig == inverse_relabel(d, targets, preorder(d))
     assert all(orig[lab[v]] == v for v in range(1, t.root + 1))
+
+
+def comb(n):
+    """A spine 1..n/2 from the root down, n even, where spine vertex i
+    also carries the leaf n+1-i: each leaf's label is above the whole
+    spine below it, so the leaf is drawn before the spine child."""
+    k = n // 2
+    return Forest(tuple(range(k)) + tuple(range(k, 0, -1)))
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_split_bisects_at_most_n_log_n(monkeypatch, n):
+    # Each vertex with children bisects its own name once, and each
+    # entry of a lighter child's subtree once: the count depends only
+    # on the shape.  An entry goes only into a subtree at most half as
+    # large, so the count is at most n log2 n; handing the lists to any
+    # child but the largest makes it quadratic on some of these shapes.
+    calls = 0
+
+    def counting(a, x):
+        nonlocal calls
+        calls += 1
+        return bisect_left(a, x)
+
+    monkeypatch.setattr(bijection, "bisect_left", counting)
+    cases = [deep_forest(shape, n) for shape in DEEP_SHAPES]
+    cases += [sample_forest(n, random.Random(n)), comb(n)]
+    for f in cases:
+        t = canonical_order(f)
+        size = [1] * (n + 2)
+        for v in postorder(t)[:-1]:
+            size[t.parent[v]] += size[v]
+        split = sum(
+            size[v] - max(size[c] for c in ch) for v, ch in enumerate(t.children) if ch
+        )
+        calls = 0
+        p = forest_to_parking(f)[0]
+        assert calls == split <= n * math.log2(n)
+        calls = 0
+        assert parking_to_forest(p)[0] == f
+        assert calls == split
+
+
+def test_jumps_are_below_subtree_sizes():
+    # What lets inverse_relabel's default path check targets while the
+    # backward map does not: every jump is a rank its car can take.
+    cases = [p for n in range(7) for p in all_parking_functions(n)]
+    cases += [forest_to_parking(deep_forest(shape, 200))[0] for shape in DEEP_SHAPES]
+    for p in cases:
+        _, _, word, jumps, _, _ = bijection._backward(p)
+        size = bijection._nearest_larger_right(word)[2]
+        assert all(0 <= jumps[c] < size[c] for c in word), p
 
 
 def _brute_drawing(parent):

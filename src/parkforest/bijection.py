@@ -35,15 +35,16 @@ subtree at most half as large: O(n log n) interpreter steps in all.  The
 list shifts inside the pops run at C speed but can cost O(n) per vertex,
 so O(n^2) machine words on a path.
 
-Forward, the map takes its drawing from forest._canonical_drawing, which
+Forward, the map takes its drawing from forest._claim_walk, which
 canonical_order wraps into a tree.  That function walks up from each
 vertex, largest first, until a vertex already reached, so the child
 lists come out in canonical order with no sort and a cycle shows as a
-walk meeting itself; one stack pass then gives the postorder, and one
-pass over it sizes and positions.  The map then splits.  Backward, the
-space word lists the nearest-larger-right tree in postorder: one stack
-pass gives parent links and subtree sizes, and the word read backwards
-is the top-down order of the split.
+walk meeting itself.  forest._layout then gives the postorder, by one
+stack pass, and sizes and positions, by one pass over it; the
+relabelings read a given tree through it too.  The map then splits.
+Backward, the space word lists the nearest-larger-right tree in
+postorder: one stack pass gives parent links and subtree sizes, and the
+word read backwards is the top-down order of the split.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import (
     MalformedInputError,
     NotParkingFunctionError,
 )
-from .forest import Forest, OrderedTree, _canonical_drawing, postorder
+from .forest import Forest, OrderedTree, _claim_walk, _layout, postorder
 from .forest_stats import subtree_label_lists
 from .parking import park
 
@@ -141,18 +142,6 @@ def _relabel(
     return out, rank
 
 
-def _sized_postorder(t: OrderedTree) -> tuple:
-    """The postorder of t, and per vertex its subtree size and 1-based
-    position in it.  The tree with no vertex, root 0, has none."""
-    po = postorder(t) if t.root else ()
-    size = [1] * (t.root + 1)
-    end = [0] * (t.root + 1)
-    for i, v in enumerate(po, start=1):
-        size[t.parent[v]] += size[v]
-        end[v] = i
-    return po, size, end
-
-
 def relabel_decreasing(
     t: OrderedTree, order: Sequence[int] | None = None
 ) -> tuple[int, ...]:
@@ -167,7 +156,7 @@ def relabel_decreasing(
     Returns labels with labels[v] the new label of vertex v (labels[0]
     is a sentinel 0).
     """
-    po, size, end = _sized_postorder(t)
+    po, size, end = _layout(t.root, t.children, t.parent)
     targets = [s - 1 for s in size]
     if order is not None:
         return inverse_relabel(t, targets, order)
@@ -182,10 +171,11 @@ def inverse_relabel(
     Processing vertex v hands it the (targets[v]+1)-th smallest current
     label in its subtree, so exactly targets[v] strict descendants of v
     end up below it; the remaining labels are redistributed over the
-    strict descendants order-preservingly.  Order independent.  By
-    default every target is checked first, in reversed postorder, and
-    one split then relabels; a processing order given checks each
-    target when it processes its vertex.
+    strict descendants order-preservingly.  Order independent.  A
+    target that is not an integer raises TypeError first.  By default
+    every target is then checked, in reversed postorder, and one split
+    relabels; a processing order given checks each target when it
+    processes its vertex.
 
     Returns labels with labels[v] the recovered label of vertex v.
     """
@@ -194,8 +184,9 @@ def inverse_relabel(
         raise MalformedInputError(
             f"need one target per vertex plus sentinel, got {len(targets)} for {m}"
         )
+    targets = list(map(index, targets))
     if order is None:
-        po, size, end = _sized_postorder(t)
+        po, size, end = _layout(t.root, t.children, t.parent)
         for v in reversed(po):
             want = targets[v]
             if not 0 <= want < size[v]:
@@ -236,13 +227,13 @@ def _forward(f: Forest) -> tuple:
     in canonical order, pos[v] the postorder position, inv[v] the
     inversion count, newlab[v] the new label (the car of v).
     """
-    children, size, pos, po = _canonical_drawing(f.parent)
-    m = len(po)
-    n = m - 1
+    up, children = _claim_walk(f.parent)
+    m = len(up) - 1
+    po, size, pos = _layout(m, children, up)
     newlab, inv = _relabel(children, size, pos, po, [s - 1 for s in size])
     # The super-root keeps label n+1 and, last in postorder with n
     # inversions, would prefer space 1; that car carries no information.
-    prefs = [0] * n
+    prefs = [0] * (m - 1)
     to_vertex = [0] * m
     for v in range(1, m):
         j = newlab[v]

@@ -6,11 +6,14 @@ Every function here treats vertex labels as significant.  The canonical
 drawing hangs the forest under a super-root n+1, which adopts the roots,
 and draws every child list by decreasing subtree maximum; that order is
 what makes the forest-to-parking-function map injective.  One function,
-_canonical_drawing, draws it for both of its callers: canonical_order
-wraps the drawing into an OrderedTree, and bijection._forward relabels it.
-It sorts nothing: walks up from u = n, ..., 1 reach each vertex first
-from the maximum of its subtree, so each child joins its parent's list
-in canonical order, and a walk that meets itself has found a cycle.
+_claim_walk, draws it for both of its callers: canonical_order wraps the
+drawing into an OrderedTree, and bijection._forward relabels it.  It
+sorts nothing: walks up from u = n, ..., 1 reach each vertex first from
+the maximum of its subtree, so each child joins its parent's list in
+canonical order, and a walk that meets itself has found a cycle.  One
+function, _layout, reads the postorder, subtree sizes and positions off
+any drawn tree, for the forward map and both relabelings; its stack pass
+is the one postorder wraps.
 """
 
 from __future__ import annotations
@@ -109,76 +112,46 @@ def upward_children(parent: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     return ch, order
 
 
-def _canonical_drawing(parent: Sequence[int]) -> tuple:
+def _claim_walk(parent: Sequence[int]) -> tuple:
     """The drawing canonical_order returns, as lists indexed by vertex
-    0..n+1: (children, size, pos, po), with children[0] empty, size[v] the
-    subtree size of v and pos[v] its 1-based position in the postorder po.
-    A bad parent sequence raises validate_forest's error.
+    0..n+1: (up, children), up[v] the parent of v under the super-root
+    m = n+1 and children[v] in canonical order.  A bad parent sequence
+    raises validate_forest's error.
 
-    The claim walk: for u = n, ..., 1 in turn, walk up from u through the
-    vertices no earlier walk has claimed, claiming each for u and
-    appending it to its parent's child list.  The first walk to reach a
-    vertex starts at the maximum of its subtree, so every child list
-    fills by decreasing subtree maximum, in canonical order with no sort.
-    A walk that meets a vertex it claimed itself has gone round a cycle,
-    and validate_forest then names the error.
+    For u = n, ..., 1 in turn, walk up from u through the vertices no
+    earlier walk has claimed, claiming each for u and appending it to its
+    parent's child list.  The first walk to reach a vertex starts at the
+    maximum of its subtree, so every child list fills by decreasing
+    subtree maximum, with no sort.  A walk that meets a vertex it claimed
+    itself has gone round a cycle, and validate_forest names the error.
     """
     n = len(parent)
     m = n + 1
     if parent and (min(parent) < 0 or max(parent) > n):
         validate_forest(parent)
-    # Vertex 0 stands in for the super-root m until the sizes are done.
-    par = (0, *parent)
-    children: list[list[int]] = [[] for _ in range(m)]
+    up = [0, *parent, 0]
+    children: list[list[int]] = [[] for _ in range(m + 1)]
     top = [0] * m  # the walk that claimed each vertex, 0 for none yet
-    top[0] = m
+    top[0] = m  # a walk ends at the latest past a root
     for u in range(n, 0, -1):
         v = u
         while not top[v]:
             top[v] = u
-            p = par[v]
-            children[p].append(v)
-            v = p
+            p = up[v]
+            children[p or m].append(v)
+            v = p  # p, not p or m: top[v] then rejects a float, 0.0 too
         if top[v] == u:
             validate_forest(parent)
-    children.append(children[0])
-    children[0] = []
-    po = []  # one stack pass, as postorder makes it
-    stack = [m]
-    while stack:
-        v = stack.pop()
-        po.append(v)
-        stack.extend(children[v])
-    po.reverse()
-    size = [1] * m
-    pos = [0] * (m + 1)
-    for v, i in zip(po, range(1, m)):  # all but the super-root, last
-        pos[v] = i
-        size[par[v]] += size[v]
-    size.append(size[0])
-    size[0] = 1
-    pos[m] = m
-    return children, size, pos, po
+    for r in children[m]:
+        up[r] = m
+    return up, children
 
 
-def canonical_order(f: Forest) -> OrderedTree:
-    """The canonical drawing of f under a super-root labeled n+1.
-
-    The forest roots become the children of n+1.  Every child list, the
-    roots included, is sorted by decreasing subtree maximum.
-    """
-    parent = f.parent
-    m = len(parent) + 1
-    ch = _canonical_drawing(parent)[0]
-    tparent = (0,) + tuple(p or m for p in parent) + (0,)
-    return OrderedTree(m, tparent, tuple(map(tuple, ch)))
-
-
-def postorder(t: OrderedTree) -> tuple[int, ...]:
-    """Vertices of a plane tree in postorder, children left to right."""
+def _postorder(root: int, children: Sequence[Sequence[int]]) -> list[int]:
+    """The vertices under root in postorder, children left to right, by
+    one stack pass.  Root 0, the tree with no vertex, has none."""
     out: list[int] = []
-    stack = [t.root]
-    children = t.children
+    stack = [root] if root else []
     pop = stack.pop
     append = out.append
     extend = stack.extend
@@ -187,13 +160,41 @@ def postorder(t: OrderedTree) -> tuple[int, ...]:
         append(v)
         extend(children[v])
     out.reverse()
-    return tuple(out)
+    return out
+
+
+def _layout(root: int, children: Sequence, parent: Sequence[int]) -> tuple:
+    """(po, size, end) of a drawn tree on 1..root with parent[root] = 0:
+    its postorder po and, per vertex, the subtree size and 1-based
+    position in po, so the subtree of v is po[end[v] - size[v]:end[v]]."""
+    po = _postorder(root, children)
+    size = [1] * (root + 1)
+    end = [0] * (root + 1)
+    for i, v in enumerate(po, start=1):
+        size[parent[v]] += size[v]
+        end[v] = i
+    return po, size, end
+
+
+def canonical_order(f: Forest) -> OrderedTree:
+    """The canonical drawing of f under a super-root labeled n+1.
+
+    The forest roots become the children of n+1.  Every child list, the
+    roots included, is sorted by decreasing subtree maximum.
+    """
+    up, children = _claim_walk(f.parent)
+    return OrderedTree(len(up) - 1, tuple(up), tuple(map(tuple, children)))
+
+
+def postorder(t: OrderedTree) -> tuple[int, ...]:
+    """Vertices of a plane tree in postorder, children left to right."""
+    return tuple(_postorder(t.root, t.children))
 
 
 def preorder(t: OrderedTree) -> tuple[int, ...]:
     """Vertices of a plane tree in preorder, children left to right."""
     out: list[int] = []
-    stack = [t.root]
+    stack = [t.root] if t.root else []
     children = t.children
     while stack:
         v = stack.pop()

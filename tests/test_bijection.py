@@ -36,7 +36,7 @@ from parkforest import (
 )
 from parkforest import bijection
 from parkforest.bijection import map_trace, unmap_trace
-from parkforest.forest import OrderedTree, _canonical_drawing
+from parkforest.forest import OrderedTree, _claim_walk, _layout
 
 from test_forest import forests
 
@@ -188,8 +188,11 @@ def test_inverse_relabel_rejects_bad_targets():
 
 def test_relabelings_of_the_empty_tree():
     t = nearest_larger_right_tree(())
+    assert postorder(t) == preorder(t) == ()
     assert relabel_decreasing(t) == relabel_decreasing(t, ()) == (0,)
+    assert relabel_decreasing(t, preorder(t)) == (0,)
     assert inverse_relabel(t, (0,)) == inverse_relabel(t, (0,), ()) == (0,)
+    assert inverse_relabel(t, (0,), postorder(t)) == (0,)
 
 
 def test_nearest_larger_right_tree_n14_shape():
@@ -232,8 +235,33 @@ def test_backward_parents_are_the_nearest_larger_right_tree():
         lambda: relabel_decreasing(
             canonical_order(Forest((0,))), (1, 2.0)
         ),
+        # A float target at a leaf: the default path never pops a leaf's
+        # target, so only a check at entry catches it.
+        lambda: inverse_relabel(
+            nearest_larger_right_tree((1, 3, 2, 4, 5)), (0, 0.0, 0, 0, 0, 0)
+        ),
+        lambda: inverse_relabel(
+            nearest_larger_right_tree((1, 3, 2, 4, 5)),
+            (0, 0.0, 0, 0, 0, 0),
+            order=[5, 4, 3, 2, 1],
+        ),
+        # Forest does not validate: a float parent, a root's 0.0 included,
+        # fails in the claim walk instead of being read as an integer.
+        lambda: forest_to_parking(Forest((0.0,))),
+        lambda: canonical_order(Forest((2, 0.0))),
+        lambda: map_trace(Forest((0, 1.0))),
     ],
-    ids=["validate_forest", "parking_to_forest", "nearest_larger_right_tree", "order"],
+    ids=[
+        "validate_forest",
+        "parking_to_forest",
+        "nearest_larger_right_tree",
+        "order",
+        "inverse_relabel_targets",
+        "inverse_relabel_order_targets",
+        "forest_to_parking_root",
+        "canonical_order_root",
+        "map_trace_parent",
+    ],
 )
 def test_non_integer_input_is_rejected_not_truncated(call):
     with pytest.raises(TypeError):
@@ -503,10 +531,21 @@ def _brute_drawing(parent):
 
 
 def test_canonical_drawing_matches_brute_force():
+    # The claim walk and the layout of the drawn tree, as the forward map
+    # reads them, and the tree canonical_order wraps from the same walk.
     cases = [f for n in range(7) for f in all_forests(n)]
     cases += [deep_forest(shape, 200) for shape in DEEP_SHAPES]
     for f in cases:
-        assert _canonical_drawing(f.parent) == _brute_drawing(f.parent), f
+        m = f.n + 1
+        children, size, pos, po = _brute_drawing(f.parent)
+        up, got = _claim_walk(f.parent)
+        assert got == children, f
+        assert up == [0, *(p or m for p in f.parent), 0], f
+        got_po, got_size, got_pos = _layout(m, got, up)
+        assert got_po == po, f
+        assert got_size[1:] == size[1:] and got_pos[1:] == pos[1:], f
+        t = canonical_order(f)
+        assert t == OrderedTree(m, tuple(up), tuple(map(tuple, children))), f
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """The public names, the module functions the benchmark traces by name,
-and no unused imports in the package modules."""
+and no unused imports in the package modules, the tests and the demos."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import parkforest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
     "BudgetExceededError",
@@ -64,7 +66,7 @@ def test_public_surface_and_traced_layers_exist(monkeypatch):
         assert getattr(parkforest, name) is not None
     # bench/run.py --trace wraps each listed function by getattr on its
     # module, so renaming or deleting one of them breaks the traced run.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
     layers = importlib.import_module("tracer").LAYERS
     for module, names in layers.items():
         mod = importlib.import_module(f"parkforest.{module}")
@@ -74,9 +76,14 @@ def test_public_surface_and_traced_layers_exist(monkeypatch):
 
 
 def test_modules_use_every_name_they_import():
-    # __init__.py imports to re-export, so it is the one module skipped.
-    src = Path(parkforest.__file__).resolve().parent
-    for path in sorted(src.glob("*.py")):
+    # The package's __init__.py imports to re-export, so it is the one
+    # module skipped.  A stale import of a renamed helper fails here.
+    paths = [
+        *sorted(Path(parkforest.__file__).resolve().parent.glob("*.py")),
+        *sorted((ROOT / "tests").glob("*.py")),
+        *sorted((ROOT / "demos").glob("*.py")),
+    ]
+    for path in paths:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))

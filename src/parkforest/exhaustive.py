@@ -39,6 +39,7 @@ import random
 import time
 from dataclasses import dataclass
 from math import comb
+from operator import index
 from typing import Iterable, Iterator
 
 from .bijection import forest_to_parking, parking_to_forest
@@ -83,6 +84,7 @@ class VerificationReport:
 
 def forest_count(n: int) -> int:
     """Number of rooted labeled forests on n vertices, (n+1)^(n-1)."""
+    n = index(n)
     _check_size(n)
     return (n + 1) ** (n - 1) if n > 0 else 1
 

@@ -5,6 +5,14 @@ a dict from monomial keys (sorted tuples of (variable, power) pairs) to
 coefficients.  It exists so the package can state identities between
 statistic distributions exactly, with no floating point anywhere.
 
+GenPoly(terms) is the one checked constructor, and const, var and
+monomial are short forms of it: it reads coefficients and exponents
+through operator.index, and a negative exponent is a ValueError.  Every
+polynomial comes out of one accumulator, _sum, which adds up (key,
+coefficient) pairs and drops zeros.  Arithmetic keeps integer
+coefficients and canonical keys by closure, so it is not checked again.
+An int operand is a constant; any other non-GenPoly operand a TypeError.
+
 The generating polynomials tie the two worlds together:
 
   inversion_type_poly(n)  sum over all forests on n vertices of
@@ -30,6 +38,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from functools import lru_cache
+from itertools import chain, repeat
+from math import prod
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, OutOfRangeError
@@ -46,153 +58,142 @@ Key = tuple[tuple[str, int], ...]
 _VAR_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
 
 
+@lru_cache(maxsize=1024)  # every product sorts its keys by name; names are few
 def _var_sort_key(name: str) -> tuple[str, int]:
+    """A name's stem and index, -1 for none: q2 sorts before q10."""
     m = _VAR_RE.match(name)
     if not m:
         return (name, -1)
     return (m.group(1), int(m.group(2)) if m.group(2) else -1)
 
 
+def _by_name(item: tuple[str, int]) -> tuple[str, int]:
+    return _var_sort_key(item[0])
+
+
 def _make_key(exponents: Mapping[str, int]) -> Key:
-    items = [(v, e) for v, e in exponents.items() if e]
-    items.sort(key=lambda ve: _var_sort_key(ve[0]))
-    return tuple(items)
+    """The canonical key: the nonzero exponents in variable order."""
+    items = []
+    for v, e in exponents.items():
+        if (e := index(e)) < 0:
+            raise ValueError("negative powers are not supported")
+        if e:
+            items.append((v, e))
+    return tuple(sorted(items, key=_by_name))
+
+
+def _times(k1: Key, k2: Key) -> Key:
+    """The key of the product of two monomials."""
+    if not (k1 and k2):
+        return k1 or k2
+    merged = dict(k1)
+    for v, e in k2:
+        merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items(), key=_by_name))
+
+
+def _sum(pairs: Iterable[tuple[Key, int]]) -> "GenPoly":
+    """The polynomial summing (key, coefficient) pairs, zeros dropped.
+    The pairs are trusted; see the module docstring."""
+    out: dict[Key, int] = {}
+    for k, c in pairs:
+        out[k] = out.get(k, 0) + c
+    poly = object.__new__(GenPoly)
+    poly.terms = {k: c for k, c in out.items() if c} if 0 in out.values() else out
+    return poly
+
+
+def _poly(x: object) -> "GenPoly":
+    """The operand rule: an int is a constant, and any other value that
+    is not a GenPoly is NotImplemented, so Python raises TypeError."""
+    if isinstance(x, GenPoly):
+        return x
+    return GenPoly.const(x) if isinstance(x, int) else NotImplemented
 
 
 class GenPoly:
-    """Sparse integer polynomial in named variables."""
+    """Sparse integer polynomial in named variables.  The checked
+    constructor is __new__, so that it too returns what _sum builds."""
 
     __slots__ = ("terms",)
+    terms: dict[Key, int]
 
-    def __init__(self, terms: Mapping[Key, int] | None = None):
-        self.terms: dict[Key, int] = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[k] = c
+    def __new__(cls, terms: Mapping[Key, int] | None = None) -> "GenPoly":
+        return _sum((_make_key(dict(k)), index(c)) for k, c in (terms or {}).items())
 
     @classmethod
     def const(cls, c: int) -> "GenPoly":
-        return cls({(): c} if c else {})
+        return _sum([((), index(c))])
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "GenPoly":
-        if power < 0:
-            raise ValueError("negative powers are not supported")
-        if power == 0:
-            return cls.const(1)
-        return cls({((name, power),): 1})
+        return cls.monomial({name: power})
 
     @classmethod
     def monomial(cls, exponents: Mapping[str, int], coeff: int = 1) -> "GenPoly":
-        return cls({_make_key(exponents): coeff})
+        return cls({tuple(exponents.items()): coeff})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = GenPoly.const(other)
-        if not isinstance(other, GenPoly):
-            return NotImplemented
+        if (other := _poly(other)) is NotImplemented:
+            return other
         return self.terms == other.terms
 
     def __add__(self, other: "GenPoly | int") -> "GenPoly":
-        if isinstance(other, int):
-            other = GenPoly.const(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        res = GenPoly()
-        res.terms = out
-        return res
+        if (other := _poly(other)) is NotImplemented:
+            return other
+        return _sum(chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
     def __mul__(self, other: "GenPoly | int") -> "GenPoly":
-        if isinstance(other, int):
-            res = GenPoly()
-            if other:
-                res.terms = {k: c * other for k, c in self.terms.items()}
-            return res
-        out: dict[Key, int] = {}
-        for k1, c1 in self.terms.items():
-            d1 = dict(k1)
-            for k2, c2 in other.terms.items():
-                merged = dict(d1)
-                for v, e in k2:
-                    merged[v] = merged.get(v, 0) + e
-                k = _make_key(merged)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        res = GenPoly()
-        res.terms = out
-        return res
+        if (other := _poly(other)) is NotImplemented:
+            return other
+        return _sum(
+            (_times(k1, k2), c1 * c2)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "GenPoly":
         if exponent < 0:
             raise ValueError("negative powers are not supported")
-        result = GenPoly.const(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return prod(repeat(self, exponent), start=GenPoly.const(1))
 
     def substitute(self, mapping: Mapping[str, "GenPoly | int"]) -> "GenPoly":
         """Replace variables by polynomials (or integers); others stay."""
-        total = GenPoly()
+        pairs: list[tuple[Key, int]] = []
         for k, c in self.terms.items():
-            term = GenPoly.const(c)
+            term = _sum([(tuple((v, e) for v, e in k if mapping.get(v) is None), c)])
             for v, e in k:
                 rep = mapping.get(v)
-                if rep is None:
-                    term = term * GenPoly.var(v, e)
-                else:
-                    term = term * (rep**e)
-            total = total + term
-        return total
+                if rep is not None:
+                    term = term * rep**e
+            pairs += term.terms.items()
+        return _sum(pairs)
 
     def variables(self) -> list[str]:
         seen = {v for k in self.terms for v, _ in k}
         return sorted(seen, key=_var_sort_key)
 
+    def _by_degree(self) -> list[tuple[Key, int]]:
+        return sorted(self.terms.items(), key=lambda kc: (sum(e for _, e in kc[0]), kc[0]))
+
     def as_terms(self) -> list[dict]:
         """JSON-ready term list, sorted by total degree then variables."""
-        rows = []
-        for k, c in sorted(
-            self.terms.items(),
-            key=lambda kc: (sum(e for _, e in kc[0]), kc[0]),
-        ):
-            rows.append({"exponents": {v: e for v, e in k}, "coeff": c})
-        return rows
+        return [{"exponents": dict(k), "coeff": c} for k, c in self._by_degree()]
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
-        for row in self.as_terms():
-            c = row["coeff"]
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in sorted(row["exponents"].items(), key=lambda ve: _var_sort_key(ve[0]))
-            ]
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
+        for k, c in self._by_degree():
+            factors = "*".join(v if e == 1 else f"{v}^{e}" for v, e in k)
+            prefix = {1: "", -1: "-"}.get(c, f"{c}*")
+            parts.append(prefix + factors if factors else str(c))
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
     def __repr__(self) -> str:
         return f"GenPoly({self.render()})"
@@ -209,7 +210,7 @@ def _tally(names: Sequence[str], keys: Iterable[tuple[int, ...]]) -> GenPoly:
     each key's count is its coefficient.
     """
     counts = Counter(keys)
-    return GenPoly({_make_key(dict(zip(names, k))): counts[k] for k in counts})
+    return GenPoly({tuple(zip(names, k)): counts[k] for k in counts})
 
 
 def _type_poly(n: int, keys: Iterable[tuple[int, ...]]) -> GenPoly:
@@ -237,9 +238,8 @@ def collapse_type_poly(poly: GenPoly) -> GenPoly:
     """Specialize a type polynomial: q0 -> u and qk -> q^k for k >= 1."""
     mapping: dict[str, GenPoly] = {}
     for name in poly.variables():
-        m = _VAR_RE.match(name)
-        if m and m.group(1) == "q" and m.group(2):
-            k = int(m.group(2))
+        stem, k = _var_sort_key(name)
+        if stem == "q" and k >= 0:
             mapping[name] = GenPoly.var("u") if k == 0 else GenPoly.var("q", k)
     return poly.substitute(mapping)
 
@@ -273,10 +273,8 @@ def statistic_product(
     """The closed product c * prod_{i=1}^{n-1} (i*a + (n-i)*b + c), n >= 1."""
     if n < 1:
         raise OutOfRangeError("the closed product needs n >= 1")
-    result = GenPoly.const(1) * c  # GenPoly's operators take ints as constants
-    for i in range(1, n):
-        result = result * (a * i + b * (n - i) + c)
-    return result
+    factors = [c] + [a * i + b * (n - i) + c for i in range(1, n)]
+    return prod(factors, start=GenPoly.const(1))
 
 
 def lucky_product_formula(n: int) -> GenPoly:

@@ -102,8 +102,9 @@ def is_parking_function(prefs: Sequence[int]) -> bool:
     Decided without parking, by the counting criterion: every car parks
     within 1..n exactly when, for each i, at least i cars prefer one of
     the spaces 1..i.  One tally of the preferences and one running sum
-    make it O(n).
+    make it O(n).  A non-integer preference is a TypeError, as in park.
     """
+    prefs = list(map(index, prefs))
     n = len(prefs)
     tally = [0] * (n + 1)
     for p in prefs:
@@ -124,7 +125,7 @@ def sorted_parking_test(prefs: Sequence[int]) -> bool:
     Agrees with is_parking_function on every input; kept as an
     independent recognizer so each can check the other.
     """
-    b = sorted(prefs)
+    b = sorted(map(index, prefs))
     return all(1 <= x <= i for i, x in enumerate(b, start=1))
 
 

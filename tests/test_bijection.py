@@ -20,6 +20,7 @@ from parkforest import (
     all_forests,
     all_parking_functions,
     canonical_order,
+    forest_count,
     forest_stats,
     forest_to_parking,
     inverse_relabel,
@@ -250,6 +251,9 @@ def test_backward_parents_are_the_nearest_larger_right_tree():
         lambda: forest_to_parking(Forest((0.0,))),
         lambda: canonical_order(Forest((2, 0.0))),
         lambda: map_trace(Forest((0, 1.0))),
+        # (n+1)^(n-1) is a float, not a count, at a float n.
+        lambda: forest_count(2.5),
+        lambda: forest_count(3.0),
     ],
     ids=[
         "validate_forest",
@@ -261,6 +265,8 @@ def test_backward_parents_are_the_nearest_larger_right_tree():
         "forest_to_parking_root",
         "canonical_order_root",
         "map_trace_parent",
+        "forest_count",
+        "forest_count_whole_float",
     ],
 )
 def test_non_integer_input_is_rejected_not_truncated(call):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from parkforest import (
     forest_count,
     is_parking_function,
     sample_forest,
+    sample_parking_function,
     sorted_parking_test,
     validate_forest,
     verify_bijection,
@@ -60,6 +62,26 @@ def test_all_forests_against_code_decoder():
         for seq in itertools.product(range(1, n + 2), repeat=n - 1):
             via_codes.add(sample_forest(n, FixedSeq(seq)).parent)
         assert via_codes == via_filter
+
+
+def test_parking_sampler_exact_over_every_draw():
+    # The parking sampler's uniformity, exactly: feeding it each of the
+    # (n+1)^n draw sequences once must yield every parking function of
+    # length n exactly n+1 times, once per rotation of the circle.
+    class Scripted:
+        def __init__(self, seq):
+            self.draws = iter(seq)
+
+        def randrange(self, m):
+            v = next(self.draws)
+            assert 0 <= v < m
+            return v
+
+    for n in range(6):
+        draws = itertools.product(range(n + 1), repeat=n)
+        seen = Counter(sample_parking_function(n, Scripted(seq)) for seq in draws)
+        assert sorted(seen) == sorted(all_parking_functions(n))
+        assert set(seen.values()) == {n + 1}
 
 
 def _is_forest(parent):

@@ -1,6 +1,9 @@
 """Polynomial arithmetic and the small generating-polynomial goldens."""
 
+from math import prod
+
 import pytest
+from hypothesis import given, strategies as st
 
 from parkforest import (
     BudgetExceededError,
@@ -15,6 +18,7 @@ from parkforest import (
     lucky_product_formula,
     statistic_product,
 )
+from parkforest.genpoly import _make_key
 
 
 def U(e=1):
@@ -159,3 +163,88 @@ def test_type_polys_reject_oversized_n():
         inversion_type_poly(7)
     with pytest.raises(BudgetExceededError):
         jump_type_poly(7)
+
+
+NAMES = ["c", "q", "q0", "q2", "q10", "u"]
+
+monomials = st.tuples(
+    st.dictionaries(st.sampled_from(NAMES), st.integers(0, 3), max_size=3),
+    st.integers(-4, 4),
+)
+polys = st.lists(monomials, max_size=4).map(
+    lambda ms: sum((GenPoly.monomial(e, c) for e, c in ms), GenPoly())
+)
+points = st.fixed_dictionaries({v: st.integers(-3, 3) for v in NAMES})
+
+
+def evaluate(p, point):
+    return sum(c * prod(point[v] ** e for v, e in k) for k, c in p.terms.items())
+
+
+def assert_canonical(p):
+    assert all(isinstance(c, int) and c for c in p.terms.values())
+    assert all(k == _make_key(dict(k)) for k in p.terms)
+
+
+@given(polys, polys, st.integers(-3, 3), st.integers(0, 3), points)
+def test_arithmetic_commutes_with_evaluation(a, b, k, e, point):
+    # Evaluating at an integer point is a ring map, so it must commute with
+    # every operation; and every result keeps the invariants.
+    cases = [
+        (a + b, evaluate(a, point) + evaluate(b, point)),
+        (a * b, evaluate(a, point) * evaluate(b, point)),
+        (k * a + k, k * evaluate(a, point) + k),
+        (a**e, evaluate(a, point) ** e),
+        (
+            a.substitute({"u": b, "q": k}),
+            evaluate(a, {**point, "u": evaluate(b, point), "q": k}),
+        ),
+    ]
+    for poly, value in cases:
+        assert evaluate(poly, point) == value
+        assert_canonical(poly)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GenPoly.var("u", 1.5),
+        lambda: GenPoly.const(2.5),
+        lambda: GenPoly({(("u", 1),): 2.5}),
+        lambda: GenPoly.monomial({"u": 1.0}),
+        lambda: GenPoly.var("u") * 2.5,
+        lambda: 2.5 * GenPoly.var("u"),
+        lambda: GenPoly.var("u") + 0.5,
+        lambda: 0.5 + GenPoly.var("u"),
+        lambda: GenPoly.var("u").substitute({"u": 0.5}),
+        lambda: statistic_product(2, 1, 1.5, 1),
+        lambda: statistic_product(1, 1, 1, 1.5),
+    ],
+    ids=[
+        "var_power",
+        "const",
+        "constructor_coeff",
+        "monomial_exponent",
+        "mul",
+        "rmul",
+        "add",
+        "radd",
+        "substitute",
+        "product_factor",
+        "product_lead",
+    ],
+)
+def test_non_integer_coefficients_and_exponents_are_rejected(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_entry_points_check_what_they_are_given():
+    with pytest.raises(ValueError):
+        GenPoly.monomial({"u": -1})
+    with pytest.raises(ValueError):
+        GenPoly({(("u", -2),): 1})
+    # Keys are made canonical and zero coefficients dropped on the way in.
+    assert GenPoly({(("u", 1), ("c", 2)): 2, (("c", 2), ("u", 1)): -2}) == 0
+    assert GenPoly({(("u", 0),): 3}) == 3
+    assert GenPoly.const(True) == 1 and repr(GenPoly.const(True)) == "GenPoly(1)"

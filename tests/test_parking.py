@@ -229,12 +229,16 @@ def test_park_matches_linear_probing(prefs):
     assert out.max_space == max(out.slots, default=0)
 
 
-@pytest.mark.parametrize("prefs", [(1.5, 1), (0, 1.5), (1, 2.0), (1, "2")])
+@pytest.mark.parametrize(
+    "prefs", [(1.5, 1), (0, 1.5), (1, 2.0), (1, "2"), (1.5,), (1.0,), (2, 1.0)]
+)
 def test_park_rejects_a_non_integer_preference(prefs):
-    # Checked before any car parks: (0, 1.5) is a TypeError, not an
-    # OutOfRangeError.
-    with pytest.raises(TypeError):
-        park(prefs)
+    # Checked before any car parks or any preference is judged: (0, 1.5)
+    # is a TypeError, not an OutOfRangeError or a False, and (1.0,) is not
+    # read as (1,).
+    for check in (park, is_parking_function, sorted_parking_test):
+        with pytest.raises(TypeError):
+            check(prefs)
 
 
 def test_park_matches_probing_on_both_sides_of_the_list_bound():

@@ -1,5 +1,6 @@
 """The public names, the module functions the benchmark traces by name,
-and no unused imports in the package modules, the tests and the demos."""
+no unused imports in the package modules, the tests, the demos and the
+benchmark, and the oracles' independence from the map cores."""
 
 import ast
 import importlib
@@ -82,6 +83,7 @@ def test_modules_use_every_name_they_import():
         *sorted(Path(parkforest.__file__).resolve().parent.glob("*.py")),
         *sorted((ROOT / "tests").glob("*.py")),
         *sorted((ROOT / "demos").glob("*.py")),
+        *sorted((ROOT / "bench").glob("*.py")),
     ]
     for path in paths:
         if path.name == "__init__.py":
@@ -95,3 +97,26 @@ def test_modules_use_every_name_they_import():
                 imported |= {a.asname or a.name for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def test_oracles_share_no_code_with_the_map_cores():
+    # The inversion oracle (forest_stats.py) and the enumerators and checks
+    # (exhaustive.py) must not reuse the maps' drawing, layout, relabeling
+    # or nearest-larger-right tree, or a bug there would pass unseen.  The
+    # maps themselves are what exhaustive.py checks, so it calls them
+    # whole.  The one shared piece is park: parking_stats and the backward
+    # map both run it.  The enumerators and sorted_parking_test are the
+    # independent parking side.
+    cores = {"_claim_walk", "_layout", "_relabel", "_nearest_larger_right"}
+    package = Path(parkforest.__file__).resolve().parent
+    for name in ("forest_stats.py", "exhaustive.py"):
+        tree = ast.parse((package / name).read_text(), name)
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+        assert not named & cores, f"{name} names {sorted(named & cores)}"

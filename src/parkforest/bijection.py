@@ -50,8 +50,9 @@ word read backwards is the top-down order of the split.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Sequence
 from operator import index
-from typing import NamedTuple, Sequence
 
 from .errors import (
     InvalidInversionValueError,
@@ -63,14 +64,13 @@ from .forest_stats import subtree_label_lists
 from .parking import park
 
 
-class LabelMap(NamedTuple):
+class LabelMap(namedtuple("LabelMap", "to_car to_vertex")):
     """Which car index corresponds to which forest vertex label.
 
     to_car[v] is the car matching vertex v; slot 0 is an unused sentinel.
     """
 
-    to_car: tuple[int, ...]
-    to_vertex: tuple[int, ...]
+    __slots__ = ()
 
     def car_of(self, v: int) -> int:
         return self.to_car[v]

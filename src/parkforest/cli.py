@@ -24,7 +24,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .bijection import (
     forest_to_parking,

@@ -5,8 +5,6 @@ callers (and the CLI) can catch one type and map it to a usage error
 without masking genuine bugs, which raise ordinary exceptions.
 """
 
-from __future__ import annotations
-
 
 class InputError(ValueError):
     """Base class for all rejections of malformed or out-of-domain input."""

@@ -30,6 +30,8 @@ whose forest failed its round trip is mapped back and forth once more.
 Parallel runs split the work by the parent of vertex 1; each worker
 enumerates its share of parent sequences.  With the roughly uniform
 spread of valid forests over that first coordinate the split is even.
+
+VerificationReport subclasses collections.namedtuple, with empty __slots__.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from math import comb
 from operator import index
-from typing import Iterable, Iterator
 
 from .bijection import forest_to_parking, parking_to_forest
 from .errors import BudgetExceededError, NotParkingFunctionError, OutOfRangeError
@@ -54,15 +56,17 @@ MAX_ENUMERATION_N = 8
 MAX_VERIFICATION_N = 7
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n: int
-    forest_count: int
-    parking_function_count: int
-    roundtrip_failures: int
-    stat_mismatches: int
-    elapsed_millis: int
-    seed: int | None = None  # the seed of a random check, None for a sweep
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "n forest_count parking_function_count roundtrip_failures stat_mismatches"
+        " elapsed_millis seed",
+        defaults=(None,),
+    )
+):
+    """The counts of one run at size n; seed is None for an exhaustive sweep."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

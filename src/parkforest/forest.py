@@ -14,43 +14,42 @@ canonical order, and a walk that meets itself has found a cycle.  One
 function, _layout, reads the postorder, subtree sizes and positions off
 any drawn tree, for the forward map and both relabelings; its stack pass
 is the one postorder wraps.
+
+Forest and OrderedTree subclass collections.namedtuple, with empty __slots__.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from operator import index
-from typing import Sequence
 
 from .errors import CycleError, OutOfRangeError, SelfParentError
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(namedtuple("Forest", "parent")):
     """A rooted labeled forest given by its parent sequence.
 
     parent[v-1] is the parent of vertex v (1-indexed labels), 0 for roots.
     Instances are assumed valid; build untrusted input via validate_forest.
+    A Forest is a 1-tuple: len(f) counts its one field, f.n its vertices.
     """
 
-    parent: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
         return len(self.parent)
 
 
-@dataclass(frozen=True)
-class OrderedTree:
+class OrderedTree(namedtuple("OrderedTree", "root parent children")):
     """A single plane tree on vertices 1..root, rooted at the top label.
 
     parent[root] is 0 and parent[0] is an unused sentinel.  children[v]
     lists the children of v left to right; children[0] is empty.
     """
 
-    root: int
-    parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def validate_forest(parent: Sequence[int]) -> Forest:

@@ -27,19 +27,18 @@ C-level sort of their merged lists.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .forest import Forest, upward_children
 
 
-class ForestStats(NamedTuple):
-    n: int
-    inv_at: tuple[int, ...]  # inv_at[v-1] is the count at vertex v
-    inv_total: int
-    leaders: tuple[int, ...]
-    lead: int
-    tree: int
-    inv_type: tuple[int, ...]
+class ForestStats(
+    namedtuple("ForestStats", "n inv_at inv_total leaders lead tree inv_type")
+):
+    """The inversion statistics of one forest; inv_at[v-1] is the count at vertex v."""
+
+    __slots__ = ()
 
     def as_report(self) -> dict:
         return {

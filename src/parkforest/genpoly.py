@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain, repeat
 from math import prod
 from operator import index
-from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, OutOfRangeError
 from .exhaustive import all_forests, all_parking_functions

@@ -23,30 +23,28 @@ of n+1 spaces, then rotate the labels so the empty space becomes n+1.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import defaultdict, namedtuple
+from collections.abc import Sequence
 from operator import index, sub
-from typing import NamedTuple, Sequence
 
 from .errors import NotParkingFunctionError, OutOfRangeError
 
 
-class ParkOutcome(NamedTuple):
+class ParkOutcome(namedtuple("ParkOutcome", "slots max_space")):
     """Where each car ended up: slots[c-1] is the space taken by car c."""
 
-    slots: tuple[int, ...]
-    max_space: int
+    __slots__ = ()
 
 
-class ParkingStats(NamedTuple):
-    n: int
-    slots: tuple[int, ...]
-    jump_at: tuple[int, ...]  # jump_at[c-1] is the jump of car c
-    jump_total: int
-    lucky_cars: tuple[int, ...]
-    lucky: int
-    critical_cars: tuple[int, ...]
-    critic: int
-    jump_type: tuple[int, ...]
+class ParkingStats(
+    namedtuple(
+        "ParkingStats",
+        "n slots jump_at jump_total lucky_cars lucky critical_cars critic jump_type",
+    )
+):
+    """The car statistics of one parking function; jump_at[c-1] is the jump of car c."""
+
+    __slots__ = ()
 
     def as_report(self) -> dict:
         return {

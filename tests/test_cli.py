@@ -416,10 +416,15 @@ def test_main_exits_0_or_2_on_any_input(command, text):
 
 
 def test_import_builds_no_parser_and_no_process_pool():
+    # Importing also loads none of dataclasses, inspect and typing.  The
+    # modules loaded before the import are left out, since site may load
+    # typing itself.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     probe = (
-        "import sys, parkforest.cli as cli;"
-        " print('multiprocessing' in sys.modules, cli._parser.cache_info().currsize)"
+        "import sys; before = set(sys.modules); import parkforest.cli as cli;"
+        " added = set(sys.modules) - before;"
+        " print('multiprocessing' in sys.modules, cli._parser.cache_info().currsize,"
+        " sorted(added & {'dataclasses', 'inspect', 'typing'}))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -429,4 +434,4 @@ def test_import_builds_no_parser_and_no_process_pool():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "0"]
+    assert result.stdout.split() == ["False", "0", "[]"]

@@ -1,13 +1,18 @@
 """The result records: immutable named tuples with fixed fields and reports."""
 
+import pickle
+
 import pytest
 
 from parkforest import (
     Forest,
     ForestStats,
     LabelMap,
+    OrderedTree,
     ParkingStats,
     ParkOutcome,
+    VerificationReport,
+    canonical_order,
     forest_stats,
     forest_to_parking,
     park,
@@ -15,6 +20,12 @@ from parkforest import (
 )
 
 FIELDS = {
+    Forest: ("parent",),
+    OrderedTree: ("root", "parent", "children"),
+    VerificationReport: (
+        "n", "forest_count", "parking_function_count", "roundtrip_failures",
+        "stat_mismatches", "elapsed_millis", "seed",
+    ),
     ParkOutcome: ("slots", "max_space"),
     ParkingStats: (
         "n", "slots", "jump_at", "jump_total", "lucky_cars", "lucky",
@@ -71,6 +82,31 @@ GOLDEN = [
         {"vertexToCar": [1, 4, 2, 3, 5], "carToVertex": [1, 3, 4, 2, 5]},
     ),
     (lambda: park((3, 3, 1)), "ParkOutcome(slots=(3, 4, 1), max_space=4)", None),
+    (lambda: Forest((2, 0, 4, 2, 0)), "Forest(parent=(2, 0, 4, 2, 0))", None),
+    (
+        lambda: canonical_order(Forest((2, 0, 4, 2, 0))),
+        "OrderedTree(root=6, parent=(0, 2, 6, 4, 2, 6, 0),"
+        " children=((), (), (4, 1), (), (3,), (), (5, 2)))",
+        None,
+    ),
+    (
+        lambda: VerificationReport(3, 16, 16, 0, 0, 7),
+        "VerificationReport(n=3, forest_count=16, parking_function_count=16,"
+        " roundtrip_failures=0, stat_mismatches=0, elapsed_millis=7, seed=None)",
+        {
+            "n": 3, "forestCount": 16, "parkingFunctionCount": 16,
+            "roundtripFailures": 0, "statMismatches": 0, "elapsedMillis": 7,
+        },
+    ),
+    (
+        lambda: VerificationReport(4, 10, 10, 1, 2, 5, seed=9),
+        "VerificationReport(n=4, forest_count=10, parking_function_count=10,"
+        " roundtrip_failures=1, stat_mismatches=2, elapsed_millis=5, seed=9)",
+        {
+            "n": 4, "forestCount": 10, "parkingFunctionCount": 10,
+            "roundtripFailures": 1, "statMismatches": 2, "elapsedMillis": 5, "seed": 9,
+        },
+    ),
 ]
 
 
@@ -98,3 +134,20 @@ def test_records_are_immutable_and_replaceable(make, text, report):
     assert getattr(changed, first) == "x" and getattr(rec, first) != "x"
     assert changed[1:] == rec[1:]
 
+
+
+@pytest.mark.parametrize("make, text, report", GOLDEN)
+def test_records_survive_pickling(make, text, report):
+    rec = make()
+    back = pickle.loads(pickle.dumps(rec))
+    assert type(back) is type(rec) and back == rec and repr(back) == text
+
+
+def test_record_properties():
+    # A Forest is a 1-tuple: len counts its one field, n its vertices.
+    for p in ((), (0,), (2, 0, 4, 2, 0)):
+        f = Forest(p)
+        assert f.n == len(p) and len(f) == 1
+    assert VerificationReport(3, 16, 16, 0, 0, 7).ok
+    assert not VerificationReport(3, 16, 16, 1, 0, 7).ok
+    assert not VerificationReport(3, 16, 16, 0, 2, 7, seed=1).ok

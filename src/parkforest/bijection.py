@@ -360,7 +360,7 @@ def map_trace(f: Forest) -> dict:
             "car": newlab[v],
             "preference": pos[v] - inv[v],
         }
-        for v in sorted(range(1, n + 2), key=lambda v: newlab[v])
+        for v in (*lmap.to_vertex[1:], n + 1)
     ]
     return {
         "n": n,

@@ -34,7 +34,7 @@ from .bijection import (
 )
 from .errors import InputError, MalformedInputError
 from .exhaustive import verify_bijection, verify_random
-from .forest import Forest, validate_forest
+from .forest import Forest
 from .forest_stats import forest_stats
 from .genpoly import (
     GenPoly,
@@ -135,7 +135,7 @@ def _parse_forest(text: str) -> Forest:
         raise MalformedInputError(
             'expected a parent sequence (with 0 for roots) or a {"parent": [...]} object'
         )
-    return validate_forest(values)
+    return Forest(tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def _cmd_pa(args) -> int:
 def _cmd_stats(args) -> int:
     kind, values = parse_input(_read_text(args))
     if kind == "forest":
-        report = forest_stats(validate_forest(values)).as_report()
+        report = forest_stats(Forest(tuple(values))).as_report()
     else:
         report = parking_stats(tuple(values)).as_report()
     if args.json:

@@ -31,7 +31,9 @@ class Forest(namedtuple("Forest", "parent")):
     """A rooted labeled forest given by its parent sequence.
 
     parent[v-1] is the parent of vertex v (1-indexed labels), 0 for roots.
-    Instances are assumed valid; build untrusted input via validate_forest.
+    Building one checks nothing.  The maps, canonical_order and
+    forest_stats check the parent sequence they are given and raise
+    validate_forest's error on a bad one.
     A Forest is a 1-tuple: len(f) counts its one field, f.n its vertices.
     """
 

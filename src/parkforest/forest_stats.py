@@ -20,17 +20,26 @@ and one bisection give the count, and the vertex goes in where the
 bisection stopped.  A vertex with one child takes that child's list as
 it is, since it is sorted already, so a path costs one bisection and one
 insertion per vertex: linear time when the labels fall towards the root,
-and C-level list shifts when they rise.  Several children still cost a
-C-level sort of their merged lists.
+and C-level list shifts when they rise.  A vertex with several children
+gathers their lists in one: a child list longer than all the labels
+gathered before it takes them over as its tail.  When the tail holds
+fewer than 1/_R as many labels as the sorted list in front, its labels
+are inserted one by one; otherwise the gathered list is sorted.  A label
+is inserted only into a list _R times as long as its own side, so at
+most log_R n times, and a sort is paid for by the shorter lists.  So a
+caterpillar costs what a path does: each leg is inserted into the
+spine's list, which is sorted only while it is short.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import namedtuple
 from collections.abc import Sequence
 
 from .forest import Forest, upward_children
+
+_R = 32  # a tail under 1/_R of the sorted front is inserted, not sorted
 
 
 class ForestStats(
@@ -69,10 +78,23 @@ def inversion_counts(
             merged = labels[ch[0]]
             labels[ch[0]] = None
             if len(ch) > 1:
+                # Each takeover at least doubles the gathered list, so the
+                # copying is linear in the tail.  k counts the sorted front.
+                k = len(merged)
                 for c in ch[1:]:
-                    merged += labels[c]
+                    sub = labels[c]
                     labels[c] = None
-                merged.sort()
+                    if len(sub) > len(merged):
+                        merged, sub = sub, merged
+                        k = len(merged)
+                    merged += sub
+                if (len(merged) - k) * _R < k:
+                    rest = merged[k:]
+                    del merged[k:]
+                    for x in rest:
+                        insort(merged, x)
+                else:
+                    merged.sort()
             inv[v] = i = bisect_left(merged, v)
             merged.insert(i, v)
         else:

@@ -1,7 +1,11 @@
 """Inversion statistics against a naive quadratic oracle."""
 
+import importlib
+import math
+import random
 import time
 
+import pytest
 from hypothesis import given
 
 from parkforest import (
@@ -10,11 +14,15 @@ from parkforest import (
     canonical_order,
     forest_stats,
     postorder,
+    sample_forest,
 )
 from parkforest.forest import children_lists
 from parkforest.forest_stats import inversion_counts
 
+from test_bijection import DEEP_SHAPES, deep_forest
 from test_forest import forests
+
+stats_module = importlib.import_module("parkforest.forest_stats")
 
 
 def naive_inversions(parent):
@@ -117,3 +125,70 @@ def test_forest_stats_time_is_near_linear_on_a_path():
         return min(times)
 
     assert best_of_3(20_000) <= 8 * best_of_3(5_000)
+
+
+def test_forest_stats_time_is_near_linear_on_a_caterpillar():
+    # Each leg's label is inserted into the spine's list instead of
+    # re-sorting it, so a caterpillar pays what path_up pays: one
+    # insertion per vertex into one long list.  A re-sort of the spine's
+    # list at every spine vertex costs about 7 times path_up at this n.
+    def best_of_2(f):
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            forest_stats(f)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    n = 10_000
+    path_up = Forest(tuple(range(n)))  # parent[v] = v - 1
+    assert best_of_2(deep_forest("caterpillar", n)) <= 2 * best_of_2(path_up)
+
+
+def test_low_ratios_match_the_oracle_exhaustively_and_on_deep_shapes():
+    # At ratio 1 or 2 the insertion branch runs at every size, so the
+    # small forests check it as well as the sort.
+    for r in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats_module, "_R", r)
+            for n in range(7):
+                for f in all_forests(n):
+                    assert list(forest_stats(f).inv_at) == naive_inversions(f.parent)
+            for shape in DEEP_SHAPES:
+                f = deep_forest(shape, 200)
+                assert list(forest_stats(f).inv_at) == naive_inversions(f.parent)
+
+
+@given(forests(max_n=40))
+def test_low_ratios_match_the_oracle(f):
+    expected = naive_inversions(f.parent)
+    for r in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats_module, "_R", r)
+            assert list(forest_stats(f).inv_at) == expected
+
+
+def count_insertions(f):
+    calls = []
+    real = stats_module.insort
+
+    def counting(a, x):
+        calls.append(x)
+        real(a, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats_module, "insort", counting)
+        forest_stats(f)
+    return len(calls)
+
+
+def test_insertions_go_into_the_longest_list():
+    # Every leg of a caterpillar joins the spine's list by one insertion
+    # once that list is _R labels long; a label is inserted only into a
+    # list _R times as long as its own side, so at most log_R n times.
+    n = 4000
+    legs = n - n // 2
+    calls = count_insertions(deep_forest("caterpillar", n))
+    assert legs - stats_module._R <= calls <= legs
+    calls = count_insertions(sample_forest(n, random.Random(n)))
+    assert calls <= n * math.log2(n)

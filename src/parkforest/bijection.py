@@ -52,7 +52,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import index
+from operator import index, sub
 
 from .errors import (
     InvalidInversionValueError,
@@ -253,19 +253,20 @@ def _nearest_larger_right(word: Sequence[int]) -> tuple:
     tree of a permutation word that ends in its maximum.
 
     The word lists that tree in postorder, so one stack pass builds it:
-    each entry adopts the smaller entries it pops.  children[v] lists the
-    children of v by increasing label, () for a leaf.  The word is not
-    checked.
+    each entry adopts the smaller entries it pops.  The stack starts with
+    the sentinel m + 1, above every entry, so it is never popped and
+    never empty.  children[v] lists the children of v by increasing
+    label, () for a leaf.  The word is not checked.
     """
     m = len(word)
     parent = [0] * (m + 1)
     size = [1] * (m + 1)
     children: list = [()] * (m + 1)
-    stack: list[int] = []
+    stack = [m + 1]
     for car in word:
-        if stack and stack[-1] < car:
+        if stack[-1] < car:
             kids = []
-            while stack and stack[-1] < car:
+            while stack[-1] < car:
                 c = stack.pop()
                 parent[c] = car
                 kids.append(c)
@@ -314,7 +315,7 @@ def _backward(p: Sequence[int]) -> tuple:
     word = [0] * m
     for c, s in enumerate(slots, start=1):
         word[s - 1] = c
-    jumps = [0] + [s - q for s, q in zip(slots, prefs)]
+    jumps = [0, *map(sub, slots, prefs)]
     tparent, children, size = _nearest_larger_right(word)
     # Each jump is a rank _relabel can give: a car that jumped from space
     # q to space s passed q..s-1, all held by earlier, so smaller, cars.
@@ -328,12 +329,12 @@ def _backward(p: Sequence[int]) -> tuple:
 def _forest_of(tparent: Sequence[int], orig: Sequence[int]) -> tuple[Forest, LabelMap]:
     """Strip the super-root off the recovered tree, back to vertex labels."""
     m = len(orig) - 1
+    up = [*orig[:m], 0]  # the vertex of each parent car; the super-root's is 0
     parent = [0] * (m - 1)
     to_car = [0] * m
     for c in range(1, m):
         v = orig[c]
-        pc = tparent[c]
-        parent[v - 1] = orig[pc] if pc != m else 0
+        parent[v - 1] = up[tparent[c]]
         to_car[v] = c
     return Forest(tuple(parent)), LabelMap(tuple(to_car), tuple(orig[:m]))
 

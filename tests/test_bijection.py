@@ -512,6 +512,39 @@ def test_jumps_are_below_subtree_sizes():
         assert all(0 <= jumps[c] < size[c] for c in word), p
 
 
+def test_nearest_larger_right_matches_its_definition():
+    # Every permutation word of length 0-7 that ends in its maximum, and
+    # the backward words of the deep shapes: each entry hangs on the
+    # first larger entry to its right, its children come by increasing
+    # label, and its size counts the entries whose parent chain meets it.
+    words = [()] + [
+        (*w, m)
+        for m in range(1, 8)
+        for w in itertools.permutations(range(1, m))
+    ]
+    words += [
+        bijection._backward(forest_to_parking(deep_forest(shape, 200))[0])[2]
+        for shape in DEEP_SHAPES
+    ]
+    for word in words:
+        m = len(word)
+        parent, children, size = bijection._nearest_larger_right(word)
+        want = [0] * (m + 1)
+        for i, car in enumerate(word):
+            want[car] = next((x for x in word[i + 1 :] if x > car), 0)
+        count = [0] * (m + 1)
+        for u in range(1, m + 1):
+            while u:
+                count[u] += 1
+                u = want[u]
+        assert len(parent) == len(children) == len(size) == m + 1
+        assert parent[1:] == want[1:], word
+        for v in range(1, m + 1):
+            kids = tuple(u for u in range(1, m + 1) if want[u] == v)
+            assert (tuple(children[v]) if kids else children[v]) == kids, word
+        assert size[1:] == count[1:], word
+
+
 def _brute_drawing(parent):
     """The canonical drawing from its definition: sizes and maxima from
     every parent chain, child lists sorted by maximum, and postorder."""

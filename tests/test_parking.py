@@ -50,8 +50,14 @@ def test_park_golden():
 
 
 def test_park_rejects_nonpositive_preferences():
-    with pytest.raises(OutOfRangeError):
-        park((0, 1))
+    # The message names the first car below 1, wherever it stands.
+    for prefs, message in [
+        ((0, 1), "car 1 prefers space 0"),
+        ((3, 0, -1), "car 2 prefers space 0"),
+        ((1, 1, -2), "car 3 prefers space -2"),
+    ]:
+        with pytest.raises(OutOfRangeError, match=f"^{message}; spaces start at 1$"):
+            park(prefs)
     # A preference past n is not an error: the car simply parks out there.
     assert park((1, 3)).slots == (1, 3)
     assert not is_parking_function((1, 3))

@@ -61,7 +61,7 @@ from .errors import (
 )
 from .forest import Forest, OrderedTree, _claim_walk, _layout, postorder
 from .forest_stats import subtree_label_lists
-from .parking import park
+from .parking import _park
 
 
 class LabelMap(namedtuple("LabelMap", "to_car to_vertex")):
@@ -307,10 +307,10 @@ def _backward(p: Sequence[int]) -> tuple:
     m = len(p) + 1
     prefs = p + (1,)
     # The appended car prefers space 1, so it parks on space n+1 exactly
-    # when cars 1..n fill spaces 1..n: when p is a parking function.  park
-    # rejects a preference below 1, which no parking function has.
-    slots = park(prefs).slots if min(prefs) >= 1 else None
-    if slots is None or slots[-1] != m:
+    # when cars 1..n fill spaces 1..n: when p is a parking function.  No
+    # parking function has a preference below 1; the others, converted
+    # above, go straight to park's loop.
+    if min(prefs) < 1 or (slots := _park(prefs).slots)[-1] != m:
         raise NotParkingFunctionError(f"{p} is not a parking function")
     word = [0] * m
     for c, s in enumerate(slots, start=1):

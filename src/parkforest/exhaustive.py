@@ -27,6 +27,17 @@ G(p) = f held.  Every enumerated parking function must be in that table,
 and where the round trip held, F(G(p)) = F(f) = p follows.  Only a p
 whose forest failed its round trip is mapped back and forth once more.
 
+The forest pass runs in stages over blocks of about 384 vertices (64
+forests at n = 5): the forward map on every forest of a block, the
+backward map on every image, the two statistics, and then the checks in
+sweep order.  Each large function then runs many times in a row, and
+serial verify_bijection(6) takes about 0.81 of the time it took with
+each forest taken through all four in turn (1.12 against 1.39 s, on a
+shared 2-core machine), likely from cache and branch-predictor locality
+(no hardware counter was read).  The bound
+on vertices keeps a pass's memory linear in n: from n = 383 up a block
+holds one forest, mapped before the next is drawn.
+
 Parallel runs split the work by the parent of vertex 1; each worker
 enumerates its share of parent sequences.  With the roughly uniform
 spread of valid forests over that first coordinate the split is even.
@@ -182,26 +193,26 @@ def all_parking_functions(n: int) -> Iterator[tuple[int, ...]]:
                 yield head + (last,)
 
 
-def _check_forest(f: Forest) -> tuple[tuple[int, ...] | None, int, int]:
-    """One forest through the full gauntlet.
+def _check_forest(
+    f: Forest, image, back, fs, ps
+) -> tuple[tuple[int, ...] | None, int, int]:
+    """One forest's checks, on the values the forest pass computed for it.
 
-    Returns (image or None, roundtrip failures, stat mismatches); the
-    image is None when it is not even a parking function, which counts
-    as one roundtrip failure.  The inverse map checks the image, so it is
-    checked once.
+    image is (p, lmap) = F(f) and back is G(p), or None when p is not
+    even a parking function, which counts as one roundtrip failure: the
+    inverse map checks the image, so it is checked once.  fs and ps are
+    the statistics of f and p.  Returns (image or None, roundtrip
+    failures, stat mismatches).
     """
-    n = f.n
-    p, lmap = forest_to_parking(f)
-    try:
-        back, back_map = parking_to_forest(p)
-    except NotParkingFunctionError:
+    if back is None:
         return None, 1, 0
+    n = f.n
+    p, lmap = image
+    back_f, back_map = back
     bad_round = 0
-    if back.parent != f.parent or back_map.to_car != lmap.to_car:
+    if back_f.parent != f.parent or back_map.to_car != lmap.to_car:
         bad_round = 1
     bad_stats = 0
-    fs = forest_stats(f)
-    ps = parking_stats(p)
     inv_total = fs.inv_total
     jump = ps.jump_at
     # The roots themselves must land on the critical cars, not merely
@@ -232,29 +243,51 @@ def _check_forest(f: Forest) -> tuple[tuple[int, ...] | None, int, int]:
     return p, bad_round, bad_stats
 
 
+# Vertices per block of the forest pass, counting each forest's super-root:
+# 64 forests at n = 5, 48 at n = 7, one forest at a time from n = 383 up.
+_BLOCK_VERTICES = 384
+
+
 def _forest_pass(
-    forests: Iterable[Forest], table: dict | None = None
+    forests: Iterable[Forest], n: int, table: dict | None = None
 ) -> tuple[int, int, int, int]:
-    """Every forest through _check_forest, tallied.
+    """Every forest of size n through the maps and _check_forest, tallied.
+
+    The forests go in blocks, and each block through one stage at a time:
+    the forward map on every forest, the backward map on every image,
+    then both statistics where the backward map took the image.  The
+    checks then run over the block in sweep order.
 
     Returns (forests, roundtrip failures, stat mismatches, hits): hits
     counts the forests whose image is a parking function.  A given table
     is filled with each image and whether some forest with that image
     came back to itself.
     """
+    forests = iter(forests)
+    size = max(1, _BLOCK_VERTICES // (n + 1))
     count = 0
     hits = 0
     bad_round = 0
     bad_stats = 0
-    for f in forests:
-        count += 1
-        p, br, bs = _check_forest(f)
-        bad_round += br
-        bad_stats += bs
-        if p is not None:
-            hits += 1
-            if table is not None:
-                table[p] = table.get(p, False) or not br
+    while block := list(itertools.islice(forests, size)):
+        images = list(map(forest_to_parking, block))
+        backs = []
+        for p, _ in images:
+            try:
+                backs.append(parking_to_forest(p))
+            except NotParkingFunctionError:
+                backs.append(None)
+        fss = [forest_stats(f) if b else None for f, b in zip(block, backs)]
+        pss = [parking_stats(p) if b else None for (p, _), b in zip(images, backs)]
+        count += len(block)
+        for row in zip(block, images, backs, fss, pss):
+            p, br, bs = _check_forest(*row)
+            bad_round += br
+            bad_stats += bs
+            if p is not None:
+                hits += 1
+                if table is not None:
+                    table[p] = table.get(p, False) or not br
     return count, bad_round, bad_stats, hits
 
 
@@ -263,7 +296,7 @@ def _verify_slice(args: tuple[int, int | None]) -> tuple[tuple[int, ...], dict]:
     its image table."""
     n, first_parent = args
     table: dict[tuple[int, ...], bool] = {}
-    return _forest_pass(all_forests(n, first_parent), table), table
+    return _forest_pass(all_forests(n, first_parent), n, table), table
 
 
 def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
@@ -374,7 +407,7 @@ def verify_random(n: int, count: int, seed: int | None = None) -> VerificationRe
     start = time.perf_counter()
     rng = random.Random(seed)
     _, bad_round, bad_stats, pf_hits = _forest_pass(
-        sample_forest(n, rng) for _ in range(count)
+        (sample_forest(n, rng) for _ in range(count)), n
     )
     elapsed = int(round((time.perf_counter() - start) * 1000))
     return VerificationReport(

@@ -66,6 +66,24 @@ def park(prefs: Sequence[int]) -> ParkOutcome:
     cars.  Letting the outcome spill past space n is deliberate: the
     spill is how a sequence fails the parking test.
     """
+    # A non-integer preference is a TypeError, and then a preference below
+    # 1 an OutOfRangeError naming its first car: both are checked once,
+    # before any car parks.  min and max are guarded by length rather than
+    # passed default=: at n = 5 each such keyword costs about a tenth of a
+    # call.
+    prefs = list(map(index, prefs))
+    if prefs and min(prefs) < 1:
+        c, p = next((c, p) for c, p in enumerate(prefs, start=1) if p < 1)
+        raise OutOfRangeError(f"car {c} prefers space {p}; spaces start at 1")
+    return _park(prefs)
+
+
+def _park(prefs: Sequence[int]) -> ParkOutcome:
+    """park on preferences already converted to integers, none below 1.
+
+    The backward map, which converts and range-checks its own copy, runs
+    this loop directly.
+    """
     # Union-find "next free space" with path compression (Tarjan 1975):
     # nxt[s] is nonzero exactly when space s is taken, and points at a
     # space no further right than the first free one after s.  When no
@@ -73,16 +91,8 @@ def park(prefs: Sequence[int]) -> ParkOutcome:
     # passes at most n-1 taken spaces, so no slot goes past 3n-1 and no
     # pointer past 3n.  Past that bound it is a defaultdict, holding one
     # entry per taken space, so memory stays linear in n whatever the
-    # preference values.  A non-integer preference is a TypeError, and
-    # then a preference below 1 an OutOfRangeError naming its first car:
-    # both are checked once, before any car parks.  min and max are
-    # guarded by n rather than passed default=: at n = 5 each such
-    # keyword costs about a tenth of a call.
-    prefs = list(map(index, prefs))
+    # preference values.
     n = len(prefs)
-    if n and min(prefs) < 1:
-        c, p = next((c, p) for c, p in enumerate(prefs, start=1) if p < 1)
-        raise OutOfRangeError(f"car {c} prefers space {p}; spaces start at 1")
     nxt = [0] * (3 * n + 2) if not n or max(prefs) <= 2 * n else defaultdict(int)
     slots = []
     append = slots.append

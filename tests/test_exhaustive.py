@@ -248,6 +248,53 @@ def test_budget_guards_reject_oversized_sweeps():
         verify_bijection(8)
 
 
+def _fields(report):
+    return report._replace(elapsed_millis=None)
+
+
+def test_block_size_does_not_change_reports():
+    # The forest pass takes the forests in blocks of _BLOCK_VERTICES // (n+1);
+    # blocks of 1, 2 and 3 forests split every sweep, and at n = 4 the last
+    # block is partial (125 = 41 * 3 + 2).
+    want = [_fields(verify_bijection(n)) for n in range(6)]
+    runs = [(n, seed) for n in (6, 30) for seed in (3, 5, 11)]
+    want_random = [_fields(verify_random(n, 20, seed=seed)) for n, seed in runs]
+    for k in (1, 2, 3):
+        got = []
+        got_random = []
+        with pytest.MonkeyPatch.context() as mp:
+            for n in range(6):
+                mp.setattr(ex, "_BLOCK_VERTICES", k * (n + 1))
+                got.append(_fields(verify_bijection(n)))
+            for n, seed in runs:
+                mp.setattr(ex, "_BLOCK_VERTICES", k * (n + 1))
+                got_random.append(_fields(verify_random(n, 20, seed=seed)))
+        assert got == want, k
+        assert got_random == want_random, k
+
+
+def test_random_check_maps_each_forest_before_drawing_the_next(monkeypatch):
+    # Above the block budget a block holds one forest, so a random check
+    # keeps one large forest at a time: memory stays linear in n.
+    calls = []
+    draw, to_parking = ex.sample_forest, ex.forest_to_parking
+
+    def logged_draw(n, rng):
+        calls.append("draw")
+        return draw(n, rng)
+
+    def logged_map(f):
+        calls.append("map")
+        return to_parking(f)
+
+    monkeypatch.setattr(ex, "sample_forest", logged_draw)
+    monkeypatch.setattr(ex, "forest_to_parking", logged_map)
+    n = 1000
+    assert n + 1 > ex._BLOCK_VERTICES
+    assert verify_random(n, 3, seed=1).ok
+    assert calls == ["draw", "map"] * 3
+
+
 # The oracles must catch a broken map: the sweep's shortcuts (the reverse
 # direction read off the forest pass) may not hide a failure.
 
@@ -301,13 +348,16 @@ def test_non_parking_image_counts_once(monkeypatch):
     assert rep.parking_function_count == 0
 
 
+_STAT_MUTANTS = [
+    ("forest_stats", lambda s: s._replace(inv_at=(s.inv_at[0] + 1, *s.inv_at[1:]))),
+    ("parking_stats", lambda s: s._replace(critical_cars=s.critical_cars[1:])),
+    ("parking_stats", lambda s: s._replace(lucky=s.lucky + 1)),
+]
+
+
 @pytest.mark.parametrize(
     "name, mutate",
-    [
-        ("forest_stats", lambda s: s._replace(inv_at=(s.inv_at[0] + 1, *s.inv_at[1:]))),
-        ("parking_stats", lambda s: s._replace(critical_cars=s.critical_cars[1:])),
-        ("parking_stats", lambda s: s._replace(lucky=s.lucky + 1)),
-    ],
+    _STAT_MUTANTS,
     ids=["inv_at", "critical_car_dropped", "lucky_shifted"],
 )
 def test_verify_catches_broken_statistics(monkeypatch, name, mutate):
@@ -322,3 +372,23 @@ def test_verify_catches_broken_statistics(monkeypatch, name, mutate):
     rep = verify_random(30, 20, seed=5)
     assert rep.stat_mismatches == 20
     assert rep.roundtrip_failures == 0 and not rep.ok
+
+
+def test_oracles_catch_broken_maps_in_small_blocks():
+    # The mutation tests above, at 11 vertices a block: two forests a
+    # block at n = 3 and 4, so the sweep splits mid-way and ends on a
+    # partial block (125 = 62 * 2 + 1), and one forest a block at the
+    # random checks' sizes.
+    checks = [
+        test_verify_catches_swapped_preferences,
+        test_verify_catches_one_wrong_inverse,
+        test_non_parking_image_counts_once,
+    ]
+    checks += [
+        lambda mp, case=case: test_verify_catches_broken_statistics(mp, *case)
+        for case in _STAT_MUTANTS
+    ]
+    for check in checks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ex, "_BLOCK_VERTICES", 11)
+            check(mp)

@@ -104,8 +104,8 @@ def test_oracles_share_no_code_with_the_map_cores():
     # (exhaustive.py) must not reuse the maps' drawing, layout, relabeling
     # or nearest-larger-right tree, or a bug there would pass unseen.  The
     # maps themselves are what exhaustive.py checks, so it calls them
-    # whole.  The one shared piece is park: parking_stats and the backward
-    # map both run it.  The enumerators and sorted_parking_test are the
+    # whole.  The one shared piece is park's loop: parking_stats and the
+    # backward map both run it.  The enumerators and sorted_parking_test are the
     # independent parking side.
     cores = {"_claim_walk", "_layout", "_relabel", "_nearest_larger_right"}
     package = Path(parkforest.__file__).resolve().parent

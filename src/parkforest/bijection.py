@@ -25,12 +25,15 @@ result (by default in the split below, largest child first): along any
 ancestors-first sweep, the current labels of the strict descendants
 of the vertex in hand keep the relative order of their names.
 relabel_decreasing is inverse_relabel with every vertex asking for the
-top rank, and one top-down split does both.  Each vertex holds two
-aligned sorted lists, the names in its subtree and the labels they hold;
-it pops its label by rank, drops its name (at its inversion count),
-bisects the lighter children's entries out and hands the lists to its
-largest child, the vertex it sweeps next.  The lighter subtrees wait on
-a stack with lists of their own.  An entry is bisected out only into a
+top rank (target -1), and one top-down split does both.  Each vertex
+holds two aligned sorted lists, the names in its subtree and the labels
+they hold; it pops its label by rank, drops its name (at its inversion
+count), bisects the lighter children's entries out and hands the lists
+to its largest child, the vertex it sweeps next.  The lighter subtrees
+wait on a stack with lists of their own.  Two kinds of vertex skip the
+general step: one whose children are all leaves hands them the labels
+left in name order, and one with a heavy child and a leaf bisects the
+leaf out with no max taken.  An entry is bisected out only into a
 subtree at most half as large: O(n log n) interpreter steps in all.  The
 list shifts inside the pops run at C speed but can cost O(n) per vertex,
 so O(n^2) machine words on a path.
@@ -98,14 +101,18 @@ def _relabel(
     """Both relabelings in one top-down pass, splitting small off large.
 
     Each vertex v gets the (targets[v]+1)-th smallest label of its
-    subtree, as in inverse_relabel; size[v] - 1 asks for the largest, as
-    in relabel_decreasing.  The targets are not checked.  po is a
+    subtree, as in inverse_relabel; -1 asks for the top, as in
+    relabel_decreasing.  The targets are not checked.  po is a
     postorder ending in the root, so the subtree of v is
     po[end[v] - size[v]:end[v]].  Each vertex hands its lists to its
     largest child, the vertex swept next.  Of the lighter children, a
     leaf gets its label at once and a larger subtree waits on a stack
-    with lists of its own.  Returns (labels, rank): the label of each
-    vertex, and the number of smaller vertices below each.
+    with lists of its own.  Two shortcuts come first: when every child
+    is a leaf, the lists hold just the children, which take the labels
+    in order; with two children, a heavy one and a leaf, the leaf is
+    bisected out and the heavy one is next.  Returns (labels, rank):
+    the label of each vertex, and the number of smaller vertices below
+    each.
     """
     m = len(po)
     out = list(range(m + 1))
@@ -118,9 +125,24 @@ def _relabel(
             rank[v] = i = bisect_left(names, v)
             del names[i]
             ch = children[v]
-            if len(ch) == 1:
+            k = len(ch)
+            if k == 1:
                 v = ch[0]  # the largest child, with no max to take
                 continue
+            if k == size[v] - 1:  # all leaves: names holds just them
+                for c, lab in zip(names, labels):
+                    out[c] = lab
+                break
+            if k == 2:
+                big, c = ch
+                if size[big] < size[c]:
+                    big, c = c, big
+                if size[c] == 1:  # a heavy child and a leaf
+                    i = bisect_left(names, c)
+                    del names[i]
+                    out[c] = labels.pop(i)
+                    v = big
+                    continue
             big = max(ch, key=size.__getitem__)
             for c in ch:
                 if c == big:
@@ -138,7 +160,8 @@ def _relabel(
                     mine.append(labels.pop(i))
                 stack.append((c, sub, mine))
             v = big
-        out[v] = labels[0]  # a leaf, with one label left
+        else:
+            out[v] = labels[0]  # a leaf, with one label left
     return out, rank
 
 
@@ -157,10 +180,9 @@ def relabel_decreasing(
     is a sentinel 0).
     """
     po, size, end = _layout(t.root, t.children, t.parent)
-    targets = [s - 1 for s in size]
     if order is not None:
-        return inverse_relabel(t, targets, order)
-    return tuple(_relabel(t.children, size, end, po, targets)[0])
+        return inverse_relabel(t, [s - 1 for s in size], order)
+    return tuple(_relabel(t.children, size, end, po, [-1] * len(size))[0])
 
 
 def inverse_relabel(
@@ -230,7 +252,7 @@ def _forward(f: Forest) -> tuple:
     up, children = _claim_walk(f.parent)
     m = len(up) - 1
     po, size, pos = _layout(m, children, up)
-    newlab, inv = _relabel(children, size, pos, po, [s - 1 for s in size])
+    newlab, inv = _relabel(children, size, pos, po, [-1] * (m + 1))
     # The super-root keeps label n+1 and, last in postorder with n
     # inversions, would prefer space 1; that car carries no information.
     prefs = [0] * (m - 1)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from bisect import bisect_left
 
@@ -475,6 +476,8 @@ def test_split_bisects_at_most_n_log_n(monkeypatch, n):
     # on the shape.  An entry goes only into a subtree at most half as
     # large, so the count is at most n log2 n; handing the lists to any
     # child but the largest makes it quadratic on some of these shapes.
+    # A vertex whose k >= 2 children are all leaves hands them the
+    # labels left in order and bisects none of them: k - 1 fewer.
     calls = 0
 
     def counting(a, x):
@@ -492,6 +495,10 @@ def test_split_bisects_at_most_n_log_n(monkeypatch, n):
             size[t.parent[v]] += size[v]
         split = sum(
             size[v] - max(size[c] for c in ch) for v, ch in enumerate(t.children) if ch
+        ) - sum(
+            len(ch) - 1
+            for v, ch in enumerate(t.children)
+            if len(ch) >= 2 and len(ch) == size[v] - 1
         )
         calls = 0
         p = forest_to_parking(f)[0]
@@ -631,3 +638,24 @@ def test_map_memory_is_linear_on_deep_shapes(shape):
     assert peak_bytes(forest_to_parking, large) <= 6 * peak_bytes(forest_to_parking, small)
     p_small, p_large = forest_to_parking(small)[0], forest_to_parking(large)[0]
     assert peak_bytes(parking_to_forest, p_large) <= 6 * peak_bytes(parking_to_forest, p_small)
+
+
+def test_backward_time_is_near_linear_on_a_star():
+    # A star's centre hands its leaves the labels left in order, so its
+    # backward map pays what path_down's pays: a few passes over the
+    # cars.  Bisecting each leaf out of the centre's lists shifts them
+    # once per leaf, 5-8 times path_down's time at this n.  The word of
+    # (n, ..., 1) hangs every car on the last one: a star too.
+    def best_of_2(p):
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            parking_to_forest(p)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    n = 50_000
+    star = forest_to_parking(deep_forest("star", n))[0]
+    bound = 2 * best_of_2(forest_to_parking(deep_forest("path_down", n))[0])
+    assert best_of_2(star) <= bound
+    assert best_of_2(tuple(range(n, 0, -1))) <= bound

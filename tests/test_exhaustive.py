@@ -1,6 +1,7 @@
 """Enumerators, the verification loop, and the forest sampler."""
 
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -23,6 +24,7 @@ from parkforest import (
     verify_bijection,
     verify_random,
 )
+from parkforest.cli import main
 
 
 def test_counts_match_formula():
@@ -143,12 +145,21 @@ def test_verify_small_all_pass():
         assert rep.forest_count == rep.parking_function_count == forest_count(n)
 
 
-def test_verify_parallel_matches_serial():
+def test_verify_parallel_matches_serial(capsys):
+    # jobs=1 is the serial sweep, through the library and the CLI alike.
     serial = verify_bijection(4)
-    parallel = verify_bijection(4, jobs=2)
-    for field in ("n", "forest_count", "parking_function_count",
-                  "roundtrip_failures", "stat_mismatches"):
-        assert getattr(serial, field) == getattr(parallel, field)
+    for jobs in (1, 2):
+        parallel = verify_bijection(4, jobs=jobs)
+        for field in ("n", "forest_count", "parking_function_count",
+                      "roundtrip_failures", "stat_mismatches", "seed"):
+            assert getattr(serial, field) == getattr(parallel, field)
+    reports = []
+    for extra in ((), ("--jobs", "1")):
+        assert main(["verify", "--n", "4", "--json", *extra]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report["elapsedMillis"] = None
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_verify_starts_no_more_workers_than_slices(monkeypatch):
@@ -352,20 +363,21 @@ _STAT_MUTANTS = [
     ("forest_stats", lambda s: s._replace(inv_at=(s.inv_at[0] + 1, *s.inv_at[1:]))),
     ("parking_stats", lambda s: s._replace(critical_cars=s.critical_cars[1:])),
     ("parking_stats", lambda s: s._replace(lucky=s.lucky + 1)),
+    ("parking_stats", lambda s: s._replace(critic=s.critic + 1)),
 ]
 
 
 @pytest.mark.parametrize(
     "name, mutate",
     _STAT_MUTANTS,
-    ids=["inv_at", "critical_car_dropped", "lucky_shifted"],
+    ids=["inv_at", "critical_car_dropped", "lucky_shifted", "critic_shifted"],
 )
 def test_verify_catches_broken_statistics(monkeypatch, name, mutate):
     real = getattr(ex, name)
     monkeypatch.setattr(ex, name, lambda x: mutate(real(x)))
     # Each mutant breaks exactly one check on every object: vertex 1's
     # count against its car's jump, the roots against the critical cars,
-    # or the leaders against the lucky cars.
+    # the leaders against the lucky cars, or the trees against critic.
     rep = verify_bijection(4)
     assert rep.stat_mismatches == forest_count(4)
     assert rep.roundtrip_failures == 0 and not rep.ok

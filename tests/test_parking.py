@@ -264,6 +264,9 @@ def test_park_pileups_at_the_list_bound():
     n = 1000
     assert park((2 * n,) * n).slots == tuple(range(2 * n, 3 * n))
     assert park((2 * n + 1,) * n).slots == tuple(range(2 * n + 1, 3 * n + 1))
+    # Preferences past the list's 3n+2 entries: only the dict holds them.
+    assert park((3 * n,) * n).slots == tuple(range(3 * n, 4 * n))
+    assert park((15,) * 5).slots == tuple(range(15, 20))
 
 
 def test_park_memory_does_not_grow_with_preference_values():

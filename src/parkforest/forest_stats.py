@@ -41,6 +41,9 @@ from .forest import Forest, upward_children
 
 _R = 32  # a tail under 1/_R of the sorted front is inserted, not sorted
 
+# Hot-path records skip the named tuple's Python __new__: 130-190 ns each.
+_new = tuple.__new__
+
 
 class ForestStats(
     namedtuple("ForestStats", "n inv_at inv_total leaders lead tree inv_type")
@@ -135,12 +138,8 @@ def forest_stats(f: Forest) -> ForestStats:
         inv_type[k] += 1
         if not k:
             leaders.append(v)
-    return ForestStats(
-        n,
-        inv_at,
-        sum(inv_at),
-        tuple(leaders),
-        len(leaders),
-        len(ch[0]),
-        tuple(inv_type),
+    tree = len(ch[0])
+    return _new(
+        ForestStats,
+        (n, inv_at, sum(inv_at), tuple(leaders), len(leaders), tree, tuple(inv_type)),
     )

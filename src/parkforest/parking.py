@@ -29,6 +29,9 @@ from operator import index, sub
 
 from .errors import NotParkingFunctionError, OutOfRangeError
 
+# Hot-path records skip the named tuple's Python __new__: 130-190 ns each.
+_new = tuple.__new__
+
 
 class ParkOutcome(namedtuple("ParkOutcome", "slots max_space")):
     """Where each car ended up: slots[c-1] is the space taken by car c."""
@@ -66,23 +69,33 @@ def park(prefs: Sequence[int]) -> ParkOutcome:
     cars.  Letting the outcome spill past space n is deliberate: the
     spill is how a sequence fails the parking test.
     """
-    # A non-integer preference is a TypeError, and then a preference below
-    # 1 an OutOfRangeError naming its first car: both are checked once,
-    # before any car parks.  min and max are guarded by length rather than
-    # passed default=: at n = 5 each such keyword costs about a tenth of a
-    # call.
+    slots = _park(_preferences(prefs))
+    return _new(ParkOutcome, (tuple(slots), max(slots) if slots else 0))
+
+
+def _preferences(prefs: Sequence[int]) -> list[int]:
+    """prefs converted once to a list of ints, none below 1.
+
+    A non-integer preference is a TypeError, and then a preference below
+    1 an OutOfRangeError naming its first car: both are checked before
+    any car parks.  park and parking_stats share this one conversion.
+    """
+    # min here, and max in park and parking_stats, are guarded by length
+    # rather than passed default=: at n = 5 each such keyword costs about
+    # a tenth of a call.
     prefs = list(map(index, prefs))
     if prefs and min(prefs) < 1:
         c, p = next((c, p) for c, p in enumerate(prefs, start=1) if p < 1)
         raise OutOfRangeError(f"car {c} prefers space {p}; spaces start at 1")
-    return _park(prefs)
+    return prefs
 
 
-def _park(prefs: Sequence[int]) -> ParkOutcome:
-    """park on preferences already converted to integers, none below 1.
+def _park(prefs: Sequence[int]) -> list[int]:
+    """park's loop on preferences already converted to integers, none
+    below 1: the list of slots, slots[c-1] the space taken by car c.
 
-    The backward map, which converts and range-checks its own copy, runs
-    this loop directly.
+    park, parking_stats and the backward map, which each convert and
+    range-check the preferences once, run this loop directly.
     """
     # Union-find "next free space" with path compression (Tarjan 1975):
     # nxt[s] is nonzero exactly when space s is taken, and points at a
@@ -105,7 +118,7 @@ def _park(prefs: Sequence[int]) -> ParkOutcome:
                 nxt[p], p = s + 1, nxt[p]
         nxt[s] = s + 1
         append(s)
-    return ParkOutcome(tuple(slots), max(slots) if n else 0)
+    return slots
 
 
 def is_parking_function(prefs: Sequence[int]) -> bool:
@@ -142,12 +155,15 @@ def sorted_parking_test(prefs: Sequence[int]) -> bool:
 
 
 def parking_stats(prefs: Sequence[int]) -> ParkingStats:
-    """All car statistics of a parking function in one pass."""
-    prefs = tuple(prefs)
+    """All car statistics of a parking function in one pass.
+
+    The preferences are converted and checked once, by park's own rule.
+    """
+    prefs = _preferences(prefs)
     n = len(prefs)
-    slots, max_space = park(prefs)
-    if max_space > n:
-        raise NotParkingFunctionError(f"{prefs} is not a parking function")
+    slots = tuple(_park(prefs))
+    if n and max(slots) > n:
+        raise NotParkingFunctionError(f"{tuple(prefs)} is not a parking function")
     jump_at = tuple(map(sub, slots, prefs))
     jump_type = [0] * (n + 1)
     lucky_cars = []
@@ -167,16 +183,19 @@ def parking_stats(prefs: Sequence[int]) -> ParkingStats:
             crit.append(c)
             best = s
         c -= 1
-    return ParkingStats(
-        n,
-        slots,
-        jump_at,
-        sum(jump_at),
-        tuple(lucky_cars),
-        len(lucky_cars),
-        tuple(crit),
-        len(crit),
-        tuple(jump_type),
+    return _new(
+        ParkingStats,
+        (
+            n,
+            slots,
+            jump_at,
+            sum(jump_at),
+            tuple(lucky_cars),
+            len(lucky_cars),
+            tuple(crit),
+            len(crit),
+            tuple(jump_type),
+        ),
     )
 
 

@@ -56,8 +56,9 @@ def test_park_rejects_nonpositive_preferences():
         ((3, 0, -1), "car 2 prefers space 0"),
         ((1, 1, -2), "car 3 prefers space -2"),
     ]:
-        with pytest.raises(OutOfRangeError, match=f"^{message}; spaces start at 1$"):
-            park(prefs)
+        for check in (park, parking_stats):
+            with pytest.raises(OutOfRangeError, match=f"^{message}; spaces start at 1$"):
+                check(prefs)
     # A preference past n is not an error: the car simply parks out there.
     assert park((1, 3)).slots == (1, 3)
     assert not is_parking_function((1, 3))
@@ -105,10 +106,36 @@ def test_stats_golden():
 
 
 def test_stats_rejects_non_parking():
-    with pytest.raises(NotParkingFunctionError):
+    with pytest.raises(
+        NotParkingFunctionError, match=r"^\(4, 3, 3, 1, 5\) is not a parking function$"
+    ):
         parking_stats((4, 3, 3, 1, 5))
     with pytest.raises(NotParkingFunctionError):
         parking_stats((2, 2))
+
+
+class Pref:
+    """An integer-like preference: it has __index__ and nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_stats_read_integer_like_preferences_as_their_ints():
+    # The jumps come out as ints, not as differences of the inputs, so the
+    # report is the one the plain ints give.
+    for p in [(2, 4, 2, 1, 3), (1, 1, 2), (1,), ()]:
+        ps = parking_stats([Pref(x) for x in p])
+        assert ps == parking_stats(p) and ps.as_report() == parking_stats(p).as_report()
+        assert all(type(j) is int for j in ps.jump_at)
+    # A refusal prints the converted preferences.
+    with pytest.raises(NotParkingFunctionError, match=r"^\(2, 2\) is not a parking"):
+        parking_stats((Pref(2), Pref(2)))
+    with pytest.raises(NotParkingFunctionError, match=r"^\(1, 3, 3\) is not a parking"):
+        parking_stats((True, 3, 3))
 
 
 def test_space_word_golden():
@@ -245,6 +272,12 @@ def test_park_rejects_a_non_integer_preference(prefs):
     for check in (park, is_parking_function, sorted_parking_test):
         with pytest.raises(TypeError):
             check(prefs)
+    # parking_stats converts as park does, and raises park's own message.
+    with pytest.raises(TypeError) as from_park:
+        park(prefs)
+    with pytest.raises(TypeError) as from_stats:
+        parking_stats(prefs)
+    assert str(from_stats.value) == str(from_park.value)
 
 
 def test_park_matches_probing_on_both_sides_of_the_list_bound():

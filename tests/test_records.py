@@ -12,11 +12,13 @@ from parkforest import (
     ParkingStats,
     ParkOutcome,
     VerificationReport,
+    all_forests,
     canonical_order,
     forest_stats,
     forest_to_parking,
     park,
     parking_stats,
+    parking_to_forest,
 )
 
 FIELDS = {
@@ -81,8 +83,15 @@ GOLDEN = [
         "LabelMap(to_car=(0, 1, 4, 2, 3, 5), to_vertex=(0, 1, 3, 4, 2, 5))",
         {"vertexToCar": [1, 4, 2, 3, 5], "carToVertex": [1, 3, 4, 2, 5]},
     ),
+    (
+        lambda: parking_to_forest((2, 4, 2, 1, 3))[1],
+        "LabelMap(to_car=(0, 1, 2, 5, 3, 4), to_vertex=(0, 1, 2, 4, 5, 3))",
+        {"vertexToCar": [1, 2, 5, 3, 4], "carToVertex": [1, 2, 4, 5, 3]},
+    ),
     (lambda: park((3, 3, 1)), "ParkOutcome(slots=(3, 4, 1), max_space=4)", None),
     (lambda: Forest((2, 0, 4, 2, 0)), "Forest(parent=(2, 0, 4, 2, 0))", None),
+    (lambda: parking_to_forest((2, 4, 2, 1, 3))[0], "Forest(parent=(4, 3, 0, 3, 3))", None),
+    (lambda: next(all_forests(3)), "Forest(parent=(0, 0, 0))", None),
     (
         lambda: canonical_order(Forest((2, 0, 4, 2, 0))),
         "OrderedTree(root=6, parent=(0, 2, 6, 4, 2, 6, 0),"

@@ -14,6 +14,10 @@ the text inline, via --file, or as "-" for stdin.  A plain sequence
 containing 0 is read as a parent sequence (every forest has a root),
 otherwise as preferences.
 
+Each subcommand builds one report and the lines of text that show it;
+--json prints the report as JSON with sorted keys, and otherwise the text
+is printed.  main is the one place that prints.
+
 Exit status: 0 on success, 1 when a verification or comparison fails,
 2 on malformed input or usage errors.
 """
@@ -24,14 +28,9 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
-from .bijection import (
-    forest_to_parking,
-    map_trace,
-    parking_to_forest,
-    unmap_trace,
-)
+from .bijection import forest_to_parking, map_trace, parking_to_forest, unmap_trace
 from .errors import InputError, MalformedInputError
 from .exhaustive import verify_bijection, verify_random
 from .forest import Forest
@@ -47,10 +46,6 @@ from .genpoly import (
     lucky_product_formula,
 )
 from .parking import park, parking_stats
-
-
-def _stable_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
 
 
 def _read_text(args: argparse.Namespace) -> str:
@@ -119,143 +114,133 @@ def parse_input(text: str) -> tuple[str, list[int]]:
 
 
 def _parse(text: str, want: str, message: str) -> list[int]:
-    """parse_input, rejecting the other kind of input with message."""
+    """parse_input, rejecting the other kind of input with message.  An
+    empty sequence, plain or [], is the empty forest as well as the empty
+    parking function, so it passes as either; a JSON object never does."""
     kind, values = parse_input(text)
-    if kind != want:
+    if kind != want and (values or text.lstrip().startswith("{")):
         raise MalformedInputError(message)
     return values
 
 
-def _parse_forest(text: str) -> Forest:
-    # A forest without roots cannot exist, so a 0-free plain sequence
-    # only reaches here when the user really meant a parent sequence;
-    # but the empty plain sequence is the empty forest, which has none.
-    kind, values = parse_input(text)
-    if kind != "forest" and (values or text.lstrip().startswith("{")):
-        raise MalformedInputError(
-            'expected a parent sequence (with 0 for roots) or a {"parent": [...]} object'
-        )
-    return Forest(tuple(values))
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (report, text, exit status).  text is a generator,
+# so a --json run formats no line.
 
 
-def _cmd_map(args) -> int:
-    f = _parse_forest(_read_text(args))
+def _sequence_text(values) -> Iterator[str]:
+    yield " ".join(map(str, values)) if values else "(empty)"
+
+
+def _line(label: str, values, width: int = 1) -> str:
+    """A trace line: the label in 13 columns, then the values right-aligned."""
+    return f"{label:<13}" + " ".join(str(x).rjust(width) for x in values)
+
+
+def _table(header: str, rows) -> Iterator[str]:
+    """The header, then each row's values by column name, right-aligned to the name."""
+    yield header
+    columns = header.split()
+    for row in rows:
+        yield "  ".join(str(row[c]).rjust(len(c)) for c in columns)
+
+
+def _map_trace_text(trace) -> Iterator[str]:
+    yield _line("n", [trace["n"]])
+    yield _line("parent", trace["parent"])
+    yield _line("roots", trace["canonicalRoots"])
+    yield _line("postorder", trace["postorder"])
+    yield from _table("car  vertex  position  inversions  preference", trace["rows"])
+    yield _line("parking", trace["parking"])
+
+
+def _unmap_trace_text(trace) -> Iterator[str]:
+    n = trace["n"]
+    w = len(str(n + 1))
+    yield _line("n", [n])
+    yield _line("parking", trace["parking"])
+    yield _line("slots", trace["slots"])
+    # The space-by-space table: which car took each space, how far it rolled.
+    yield _line("space", range(1, n + 2), w)
+    yield _line("car", trace["word"], w)
+    yield _line("jump", trace["jumpRow"], w)
+    yield from _table("car  preference  slot  jump  parentCar  vertex", trace["rows"])
+    yield _line("parent", trace["parent"])
+
+
+def _cmd_map(args) -> tuple[dict, Iterator[str], int]:
+    message = (
+        'expected a parent sequence (with 0 for roots) or a {"parent": [...]} object'
+    )
+    f = Forest(tuple(_parse(_read_text(args), "forest", message)))
     if args.trace:
         trace = map_trace(f)
-        if args.json:
-            print(_stable_json(trace))
-            return 0
-        print(f"n            {trace['n']}")
-        print(f"parent       {' '.join(map(str, trace['parent']))}")
-        print(f"roots        {' '.join(map(str, trace['canonicalRoots']))}")
-        print(f"postorder    {' '.join(map(str, trace['postorder']))}")
-        print("car  vertex  position  inversions  preference")
-        for row in trace["rows"]:
-            print(
-                f"{row['car']:>3}  {row['vertex']:>6}  {row['position']:>8}"
-                f"  {row['inversions']:>10}  {row['preference']:>10}"
-            )
-        print(f"parking      {' '.join(map(str, trace['parking']))}")
-        return 0
+        return trace, _map_trace_text(trace), 0
     p, lmap = forest_to_parking(f)
-    if args.json:
-        print(
-            _stable_json(
-                {"n": f.n, "parking": list(p), "labelMap": lmap.as_report()}
-            )
-        )
-        return 0
-    print(" ".join(map(str, p)) if p else "(empty)")
-    return 0
+    report = {"n": f.n, "parking": list(p), "labelMap": lmap.as_report()}
+    return report, _sequence_text(p), 0
 
 
-def _cmd_unmap(args) -> int:
+def _cmd_unmap(args) -> tuple[dict, Iterator[str], int]:
     message = 'expected a preference sequence or a {"parking": [...]} object'
     p = tuple(_parse(_read_text(args), "parking", message))
     if args.trace:
         trace = unmap_trace(p)
-        if args.json:
-            print(_stable_json(trace))
-            return 0
-        n = trace["n"]
-        w = len(str(n + 1))
-        print(f"n            {n}")
-        print(f"parking      {' '.join(map(str, trace['parking']))}")
-        print(f"slots        {' '.join(map(str, trace['slots']))}")
-        # The space-by-space table: which car took each space, how far it rolled.
-        print(f"space        {' '.join(f'{s:>{w}}' for s in range(1, n + 2))}")
-        print(f"car          {' '.join(f'{x:>{w}}' for x in trace['word'])}")
-        print(f"jump         {' '.join(f'{x:>{w}}' for x in trace['jumpRow'])}")
-        print("car  preference  slot  jump  parentCar  vertex")
-        for row in trace["rows"]:
-            print(
-                f"{row['car']:>3}  {row['preference']:>10}  {row['slot']:>4}"
-                f"  {row['jump']:>4}  {row['parentCar']:>9}  {row['vertex']:>6}"
-            )
-        print(f"parent       {' '.join(map(str, trace['parent']))}")
-        return 0
+        return trace, _unmap_trace_text(trace), 0
     f, lmap = parking_to_forest(p)
-    if args.json:
-        print(
-            _stable_json(
-                {"n": f.n, "parent": list(f.parent), "labelMap": lmap.as_report()}
-            )
-        )
-        return 0
-    print(" ".join(map(str, f.parent)) if f.parent else "(empty)")
-    return 0
+    report = {"n": f.n, "parent": list(f.parent), "labelMap": lmap.as_report()}
+    return report, _sequence_text(f.parent), 0
 
 
-def _cmd_pa(args) -> int:
+def _pa_text(prefs, report) -> Iterator[str]:
+    for c, (p, s) in enumerate(zip(prefs, report["slots"]), start=1):
+        jumped = "" if s == p else f"  (rolled {s - p})"
+        yield f"car {c} prefers {p} -> parks {s}{jumped}"
+    n = report["n"]
+    if report["parkingFunction"]:
+        yield f"all cars within 1..{n}: a parking function"
+    else:
+        yield f"max space {report['maxSpace']} > n = {n}: not a parking function"
+
+
+def _cmd_pa(args) -> tuple[dict, Iterator[str], int]:
     message = "the parking algorithm wants preferences, not a forest"
     prefs = tuple(_parse(_read_text(args), "parking", message))
     outcome = park(prefs)
     n = len(prefs)
-    is_pf = outcome.max_space <= n
-    if args.json:
-        print(
-            _stable_json(
-                {
-                    "n": n,
-                    "slots": list(outcome.slots),
-                    "maxSpace": outcome.max_space,
-                    "parkingFunction": is_pf,
-                }
-            )
-        )
-        return 0
-    for c, (p, s) in enumerate(zip(prefs, outcome.slots), start=1):
-        jumped = "" if s == p else f"  (rolled {s - p})"
-        print(f"car {c} prefers {p} -> parks {s}{jumped}")
-    if is_pf:
-        print(f"all cars within 1..{n}: a parking function")
-    else:
-        print(f"max space {outcome.max_space} > n = {n}: not a parking function")
-    return 0
+    report = {"n": n, "slots": list(outcome.slots), "maxSpace": outcome.max_space}
+    report["parkingFunction"] = outcome.max_space <= n
+    return report, _pa_text(prefs, report), 0
 
 
-def _cmd_stats(args) -> int:
+def _stats_text(report) -> Iterator[str]:
+    width = max(map(len, report))
+    for k, v in report.items():
+        if isinstance(v, list):
+            v = " ".join(map(str, v)) if v else "(none)"
+        yield f"{k:<{width}}  {v}"
+
+
+def _cmd_stats(args) -> tuple[dict, Iterator[str], int]:
     kind, values = parse_input(_read_text(args))
     if kind == "forest":
         report = forest_stats(Forest(tuple(values))).as_report()
     else:
         report = parking_stats(tuple(values)).as_report()
-    if args.json:
-        print(_stable_json(report))
-        return 0
-    width = max(len(k) for k in report)
-    for k, v in report.items():
-        if isinstance(v, list):
-            v = " ".join(map(str, v)) if v else "(none)"
-        print(f"{k:<{width}}  {v}")
-    return 0
+    return report, _stats_text(report), 0
 
 
-def _cmd_verify(args) -> int:
+def _verify_text(report) -> Iterator[str]:
+    yield (
+        f"n={report.n}: {report.forest_count} forests, "
+        f"{report.parking_function_count} parking functions, "
+        f"{report.roundtrip_failures} roundtrip failures, "
+        f"{report.stat_mismatches} stat mismatches ({report.elapsed_millis} ms)"
+        + ("" if report.seed is None else f", replay with --seed {report.seed}")
+    )
+
+
+def _cmd_verify(args) -> tuple[dict, Iterator[str], int]:
     if args.random is not None and args.jobs is not None:
         raise MalformedInputError("--jobs applies only to the sweep, not to --random")
     if args.random is None and args.seed is not None:
@@ -264,18 +249,7 @@ def _cmd_verify(args) -> int:
         report = verify_random(args.n, args.random, args.seed)
     else:
         report = verify_bijection(args.n, jobs=args.jobs)
-    if args.json:
-        print(_stable_json(report.as_report()))
-    else:
-        replay = "" if report.seed is None else f", replay with --seed {report.seed}"
-        print(
-            f"n={report.n}: {report.forest_count} forests, "
-            f"{report.parking_function_count} parking functions, "
-            f"{report.roundtrip_failures} roundtrip failures, "
-            f"{report.stat_mismatches} stat mismatches "
-            f"({report.elapsed_millis} ms){replay}"
-        )
-    return 0 if report.ok else 1
+    return report.as_report(), _verify_text(report), 0 if report.ok else 1
 
 
 _FAMILIES = {
@@ -297,35 +271,25 @@ def _poly_partner(family: str, n: int) -> tuple[str, GenPoly]:
     return "inversion-type", inversion_type_poly(n)
 
 
-def _cmd_poly(args) -> int:
+def _poly_text(poly, report) -> Iterator[str]:
+    yield poly.render()
+    if "matches" in report:
+        verdict = "matches" if report["matches"] else "DOES NOT MATCH"
+        yield f"{verdict} {report['comparedTo']}"
+
+
+def _cmd_poly(args) -> tuple[dict, Iterator[str], int]:
     poly = _FAMILIES[args.family](args.n)
-    out = {"n": args.n, "family": args.family, "terms": poly.as_terms()}
-    status = 0
+    report = {"n": args.n, "family": args.family, "terms": poly.as_terms()}
     if args.compare_product:
         name, partner = _poly_partner(args.family, args.n)
-        matches = poly == partner
-        out["comparedTo"] = name
-        out["matches"] = matches
-        if not matches:
-            status = 1
-    if args.json:
-        print(_stable_json(out))
-        return status
-    print(poly.render())
-    if args.compare_product:
-        verdict = "matches" if out["matches"] else "DOES NOT MATCH"
-        print(f"{verdict} {out['comparedTo']}")
-    return status
+        report["comparedTo"] = name
+        report["matches"] = poly == partner
+    return report, _poly_text(poly, report), 0 if report.get("matches", True) else 1
 
 
 # ---------------------------------------------------------------------------
 # Argument plumbing
-
-
-def _add_input_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("input", nargs="?", help="the sequence, or - for stdin")
-    sub.add_argument("--file", help="read the input from this file (- for stdin)")
-    sub.add_argument("--json", action="store_true", help="emit JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,23 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("map", help="forest to parking function")
-    _add_input_args(sub)
-    sub.add_argument("--trace", action="store_true", help="show every step")
-    sub.set_defaults(fn=_cmd_map)
-
-    sub = subs.add_parser("unmap", help="parking function to forest")
-    _add_input_args(sub)
-    sub.add_argument("--trace", action="store_true", help="show every step")
-    sub.set_defaults(fn=_cmd_unmap)
-
-    sub = subs.add_parser("pa", help="run the parking algorithm")
-    _add_input_args(sub)
-    sub.set_defaults(fn=_cmd_pa)
-
-    sub = subs.add_parser("stats", help="statistics of a forest or parking function")
-    _add_input_args(sub)
-    sub.set_defaults(fn=_cmd_stats)
+    # The subcommands that read one object: name, help, function, --trace.
+    for name, help_text, fn, traces in (
+        ("map", "forest to parking function", _cmd_map, True),
+        ("unmap", "parking function to forest", _cmd_unmap, True),
+        ("pa", "run the parking algorithm", _cmd_pa, False),
+        ("stats", "statistics of a forest or parking function", _cmd_stats, False),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("input", nargs="?", help="the sequence, or - for stdin")
+        sub.add_argument("--file", help="read the input from this file (- for stdin)")
+        sub.add_argument("--json", action="store_true", help="emit JSON")
+        if traces:
+            sub.add_argument("--trace", action="store_true", help="show every step")
+        sub.set_defaults(fn=fn)
 
     sub = subs.add_parser("verify", help="check the bijection at one size")
     sub.add_argument("--n", type=int, required=True, help="number of vertices/cars")
@@ -395,10 +356,12 @@ _parser = functools.cache(build_parser)
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        report, text, status = args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(report, sort_keys=True) if args.json else "\n".join(text))
+    return status
 
 
 if __name__ == "__main__":

@@ -159,8 +159,6 @@ def all_forests(n: int, first_parent: int | None = None) -> Iterator[Forest]:
             return
         if heads:
             heads[0] = (first_parent,)
-        elif first_parent != 0:  # n = 1: vertex 1 is the last one, a root
-            return
     reachers = _root_reachers
     for head in itertools.product(*heads):
         lasts = reachers(head, n)
@@ -330,8 +328,10 @@ def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
         parts = [_verify_slice((n, None))]
     tallies = [part_tallies for part_tallies, _ in parts]
     forests, bad_round, bad_stats, hits = map(sum, zip(*tallies))
-    table: dict = {}
-    for _, part_table in parts:
+    # The other slices' images merge into the first slice's table, so a
+    # serial sweep holds one table, not a copy of it.
+    table = parts[0][1]
+    for _, part_table in parts[1:]:
         for p, held in part_table.items():
             table[p] = table.get(p, False) or held
     # Distinctness and coverage: injectivity plus an image count matching

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import parkforest.exhaustive
-from parkforest import InputError
+from parkforest import InputError, cli
 from parkforest.cli import build_parser, main, parse_input
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -435,3 +435,141 @@ def test_import_builds_no_parser_and_no_process_pool():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "0", "[]"]
+
+
+# Each subcommand's exact text on one small input; verify's milliseconds
+# are masked.
+GOLDEN_TEXT = {
+    ("map", "0,1,1"): "2 1 3\n",
+    ("map", "--trace", "0,1,1"): (
+        "n            3\n"
+        "parent       0 1 1\n"
+        "roots        1\n"
+        "postorder    3 2 1 4\n"
+        "car  vertex  position  inversions  preference\n"
+        "  1       2         2           0           2\n"
+        "  2       3         1           0           1\n"
+        "  3       1         3           0           3\n"
+        "  4       4         4           3           1\n"
+        "parking      2 1 3\n"
+    ),
+    ("unmap", "2,1,3"): "0 1 1\n",
+    ("unmap", "--trace", "2,1,3"): (
+        "n            3\n"
+        "parking      2 1 3\n"
+        "slots        2 1 3 4\n"
+        "space        1 2 3 4\n"
+        "car          2 1 3 4\n"
+        "jump         0 0 0 3\n"
+        "car  preference  slot  jump  parentCar  vertex\n"
+        "  1           2     2     0          3       2\n"
+        "  2           1     1     0          3       3\n"
+        "  3           3     3     0          4       1\n"
+        "  4           1     4     3          0       4\n"
+        "parent       0 1 1\n"
+    ),
+    ("pa", "2,1,1"): (
+        "car 1 prefers 2 -> parks 2\n"
+        "car 2 prefers 1 -> parks 1\n"
+        "car 3 prefers 1 -> parks 3  (rolled 2)\n"
+        "all cars within 1..3: a parking function\n"
+    ),
+    ("pa", "4,3,3,1,5"): (
+        "car 1 prefers 4 -> parks 4\n"
+        "car 2 prefers 3 -> parks 3\n"
+        "car 3 prefers 3 -> parks 5  (rolled 2)\n"
+        "car 4 prefers 1 -> parks 1\n"
+        "car 5 prefers 5 -> parks 6  (rolled 1)\n"
+        "max space 6 > n = 5: not a parking function\n"
+    ),
+    ("stats", "0,1,1"): (
+        "n         3\n"
+        "invAt     0 0 0\n"
+        "invTotal  0\n"
+        "leaders   1 2 3\n"
+        "lead      3\n"
+        "tree      1\n"
+        "tinv      3 0 0 0\n"
+    ),
+    ("stats", "2,1,1"): (
+        "q             2 1 3\n"
+        "jumpAt        0 0 2\n"
+        "jumpTotal     2\n"
+        "lucky         2\n"
+        "luckyCars     1 2\n"
+        "critic        1\n"
+        "criticalCars  3\n"
+        "tjump         2 0 1 0\n"
+    ),
+    ("stats", "[]"): (
+        "q             (none)\n"
+        "jumpAt        (none)\n"
+        "jumpTotal     0\n"
+        "lucky         0\n"
+        "luckyCars     (none)\n"
+        "critic        0\n"
+        "criticalCars  (none)\n"
+        "tjump         0\n"
+    ),
+    ("verify", "--n", "3"): (
+        "n=3: 16 forests, 16 parking functions, 0 roundtrip failures,"
+        " 0 stat mismatches (# ms)\n"
+    ),
+    ("verify", "--n", "3", "--random", "4", "--seed", "7"): (
+        "n=3: 4 forests, 4 parking functions, 0 roundtrip failures,"
+        " 0 stat mismatches (# ms), replay with --seed 7\n"
+    ),
+    ("poly", "--n", "3", "--family", "lucky", "--compare-product"): (
+        "2*u + 8*u^2 + 6*u^3\nmatches closed product\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_TEXT), ids=" ".join)
+def test_text_output_is_golden(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, re.sub(r"\(\d+ ms\)", "(# ms)", out), err) == (0, GOLDEN_TEXT[argv], "")
+
+
+UNMAP_WANTS = 'expected a preference sequence or a {"parking": [...]} object'
+PA_WANTS = "the parking algorithm wants preferences, not a forest"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["unmap", "0,1,2"], UNMAP_WANTS),
+        (["unmap", '{"parent": []}'], UNMAP_WANTS),
+        (["pa", "0,1,2"], PA_WANTS),
+        (["pa", '{"parent": [0]}'], PA_WANTS),
+    ],
+)
+def test_forest_input_to_a_parking_command_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_unmap_json_without_trace(capsys):
+    code, out, err = run(capsys, "unmap", "--json", "2,1,3")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"labelMap": {"carToVertex": [2, 3, 1], "vertexToCar": [3, 1, 2]},'
+        ' "n": 3, "parent": [0, 1, 1]}\n'
+    )
+
+
+def test_poly_compare_exits_1_when_a_family_is_wrong(capsys, monkeypatch):
+    real = cli._FAMILIES["lucky"]
+    monkeypatch.setitem(cli._FAMILIES, "lucky", lambda n: real(n) + 1)
+    argv = ["poly", "--n", "3", "--family", "lucky", "--compare-product"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == "1 + 2*u + 8*u^2 + 6*u^3\nDOES NOT MATCH closed product\n"
+    code, out, err = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert (code, err) == (1, "")
+    assert payload["matches"] is False and payload["comparedTo"] == "closed product"
+
+
+def test_file_dash_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 1 3\n"))
+    assert run(capsys, "unmap", "--file", "-") == (0, "0 1 1\n", "")

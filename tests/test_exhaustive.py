@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -162,12 +163,15 @@ def test_verify_parallel_matches_serial(capsys):
     assert reports[0] == reports[1]
 
 
-def test_verify_starts_no_more_workers_than_slices(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """The sweep's process pool swapped for one that runs every slice in
+    this process; the list it returns records each pool size asked for."""
     import concurrent.futures
 
     asked = []
 
-    class SerialPool:  # records the pool size and starts no process
+    class SerialPool:
         def __init__(self, max_workers):
             asked.append(max_workers)
 
@@ -181,10 +185,55 @@ def test_verify_starts_no_more_workers_than_slices(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return asked
+
+
+def test_verify_starts_no_more_workers_than_slices(serial_pool):
     # n = 3 splits into three slices: vertex 1 hangs on 0, 2 or 3.
     report = verify_bijection(3, jobs=64)
-    assert asked == [3]
+    assert serial_pool == [3]
     assert report.ok and report.forest_count == forest_count(3)
+
+
+def test_serial_sweep_holds_one_image_table(monkeypatch):
+    # The serial sweep's peak, against what its one slice holds when it
+    # returns (the image table, and the tuple free lists it filled).  A
+    # merge into a fresh table reads 1.38-1.43 (Python 3.11), one table 1.03.
+    held = []
+    real = ex._verify_slice
+
+    def measured(args):
+        before = tracemalloc.get_traced_memory()[0]
+        part = real(args)
+        held.append(tracemalloc.get_traced_memory()[0] - before)
+        return part
+
+    monkeypatch.setattr(ex, "_verify_slice", measured)
+    tracemalloc.start()
+    try:
+        assert verify_bijection(6).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1
+    assert peak <= 1.25 * held[0]
+
+
+def test_split_sweep_counts_collisions_across_slices(monkeypatch, serial_pool):
+    # Sorted images collide within slices and across them; the merged
+    # tables must count them as the one serial table does.
+    real = ex.forest_to_parking
+
+    def sorted_image(f):
+        p, lmap = real(f)
+        return tuple(sorted(p)), lmap
+
+    monkeypatch.setattr(ex, "forest_to_parking", sorted_image)
+    serial = verify_bijection(4)
+    split = verify_bijection(4, jobs=4)
+    assert serial_pool == [4]
+    assert split._replace(elapsed_millis=0) == serial._replace(elapsed_millis=0)
+    assert serial.roundtrip_failures > 0
 
 
 def test_verify_random_clean_and_seeded():
@@ -386,6 +435,33 @@ def test_verify_catches_broken_statistics(monkeypatch, name, mutate):
     assert rep.roundtrip_failures == 0 and not rep.ok
 
 
+# Mutants of the aggregate statistics, with their exact counts over
+# verify_bijection(4) and verify_random(30, 20, seed=5).  A jump total one
+# too high, or a jump type shifted up one jump, breaks exactly one check
+# on every object.  An inversion total one too high breaks the total and
+# the sum identity on every object, and the permutation case on the 4!
+# inversion-free forests: 2 * 125 + 24 = 274.
+_AGGREGATE_MUTANTS = [
+    ("parking_stats", lambda s: s._replace(jump_total=s.jump_total + 1), 125, 20),
+    ("parking_stats", lambda s: s._replace(jump_type=(0, *s.jump_type[:-1])), 125, 20),
+    ("forest_stats", lambda s: s._replace(inv_total=s.inv_total + 1), 274, 40),
+]
+
+
+@pytest.mark.parametrize(
+    "name, mutate, swept, sampled",
+    _AGGREGATE_MUTANTS,
+    ids=["jump_total_shifted", "jump_type_shifted", "inv_total_shifted"],
+)
+def test_verify_counts_broken_aggregates(monkeypatch, name, mutate, swept, sampled):
+    real = getattr(ex, name)
+    monkeypatch.setattr(ex, name, lambda x: mutate(real(x)))
+    rep = verify_bijection(4)
+    assert (rep.roundtrip_failures, rep.stat_mismatches) == (0, swept)
+    rep = verify_random(30, 20, seed=5)
+    assert (rep.roundtrip_failures, rep.stat_mismatches) == (0, sampled)
+
+
 def test_oracles_catch_broken_maps_in_small_blocks():
     # The mutation tests above, at 11 vertices a block: two forests a
     # block at n = 3 and 4, so the sweep splits mid-way and ends on a
@@ -399,6 +475,10 @@ def test_oracles_catch_broken_maps_in_small_blocks():
     checks += [
         lambda mp, case=case: test_verify_catches_broken_statistics(mp, *case)
         for case in _STAT_MUTANTS
+    ]
+    checks += [
+        lambda mp, case=case: test_verify_counts_broken_aggregates(mp, *case)
+        for case in _AGGREGATE_MUTANTS
     ]
     for check in checks:
         with pytest.MonkeyPatch.context() as mp:

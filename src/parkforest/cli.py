@@ -18,6 +18,11 @@ Each subcommand builds one report and the lines of text that show it;
 --json prints the report as JSON with sorted keys, and otherwise the text
 is printed.  main is the one place that prints.
 
+main parses each call once, with the parser of the subcommand that
+argv[0] names.  The top-level parser reads only a call that names no
+subcommand or that holds arguments the subcommand does not recognise,
+so every usage message and exit stays the top-level parser's own.
+
 Exit status: 0 on success, 1 when a verification or comparison fails,
 2 on malformed input or usage errors.
 """
@@ -82,8 +87,20 @@ def _int(x) -> int:
 
 
 def _ints(values) -> list[int]:
+    """The list's integers, by _int's rule.  A list of only ints (not
+    bools) or only strings converts in one C-level pass; any other list,
+    or a string int() rejects, goes through _int, which names the first
+    bad token."""
     if not isinstance(values, list):
         raise MalformedInputError(f"expected a sequence of integers, got {values!r}")
+    types = set(map(type, values))
+    if types <= {int}:
+        return values
+    if types == {str}:
+        try:
+            return list(map(int, values))
+        except ValueError:
+            pass
     return [_int(x) for x in values]
 
 
@@ -344,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--json", action="store_true", help="emit JSON")
     sub.set_defaults(fn=_cmd_poly)
 
+    parser.subcommands = subs.choices  # name -> that subcommand's parser
     return parser
 
 
@@ -353,8 +371,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed by the parser of the subcommand argv[0] names.
+
+    The top-level parser would only hand argv[1:] to that parser, but it
+    reports unrecognised arguments under its own usage; such a call, and
+    one naming no subcommand, goes through the top-level parser.
+    """
+    parser = _parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report, text, status = args.fn(args)
     except InputError as exc:

@@ -300,6 +300,29 @@ def _verify_slice(args: tuple[int, int | None]) -> tuple[tuple[int, ...], dict]:
     return _forest_pass(all_forests(n, first_parent), n, table), table
 
 
+def _merge(
+    parts: Iterable[tuple[tuple[int, ...], dict]]
+) -> tuple[int, int, int, int, dict]:
+    """The slices' summed tallies and one image table.
+
+    Each slice merges into the first slice's table as it arrives, and is
+    dropped before the next one is taken: a serial sweep holds one table,
+    not a copy of it, and a split sweep holds the merged table and only
+    the slices that have arrived but not yet merged.
+    """
+    totals = [0, 0, 0, 0]
+    table = None
+    for tallies, part in parts:
+        totals = [a + b for a, b in zip(totals, tallies)]
+        if table is None:
+            table = part
+        else:
+            for p, held in part.items():
+                table[p] = table.get(p, False) or held
+        del part
+    return (*totals, table)
+
+
 def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
     """Exhaustively verify the bijection and statistics for one n.
 
@@ -323,17 +346,11 @@ def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
 
         slices = [(n, fp) for fp in range(n + 1) if fp != 1]
         with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
-            parts = list(pool.map(_verify_slice, slices))
+            forests, bad_round, bad_stats, hits, table = _merge(
+                pool.map(_verify_slice, slices)
+            )
     else:
-        parts = [_verify_slice((n, None))]
-    tallies = [part_tallies for part_tallies, _ in parts]
-    forests, bad_round, bad_stats, hits = map(sum, zip(*tallies))
-    # The other slices' images merge into the first slice's table, so a
-    # serial sweep holds one table, not a copy of it.
-    table = parts[0][1]
-    for _, part_table in parts[1:]:
-        for p, held in part_table.items():
-            table[p] = table.get(p, False) or held
+        forests, bad_round, bad_stats, hits, table = _merge([_verify_slice((n, None))])
     # Distinctness and coverage: injectivity plus an image count matching
     # the independent enumeration makes the map onto.
     bad_round += hits - len(table)

@@ -207,10 +207,15 @@ def _tally(names: Sequence[str], keys: Iterable[tuple[int, ...]]) -> GenPoly:
     """Sum over keys of names[0]^key[0] * names[1]^key[1] * ...
 
     The names are distinct, so distinct keys give distinct monomials and
-    each key's count is its coefficient.
+    each key's count is its coefficient.  The keys are statistics, counts
+    of at least 0, so each monomial's canonical key is built directly:
+    its nonzero exponents, in the names' variable order.
     """
-    counts = Counter(keys)
-    return GenPoly({tuple(zip(names, k)): counts[k] for k in counts})
+    order = sorted(range(len(names)), key=lambda i: _var_sort_key(names[i]))
+    return _sum(
+        (tuple([(names[i], k[i]) for i in order if k[i]]), count)
+        for k, count in Counter(keys).items()
+    )
 
 
 def _type_poly(n: int, keys: Iterable[tuple[int, ...]]) -> GenPoly:

@@ -47,6 +47,7 @@ def test_parse_input_plain_sequences():
     assert parse_input("[1, 1]") == ("parking", [1, 1])
     assert parse_input('{"n": 2, "parent": [0, 1]}') == ("forest", [0, 1])
     assert parse_input('{"parking": [1, 2]}') == ("parking", [1, 2])
+    assert parse_input('["1", "0"]') == ("forest", [1, 0])
 
 
 def test_parse_input_rejects_garbage():
@@ -340,6 +341,15 @@ def test_pa_reports_overflow_past_n(capsys):
         (["verify", "--n", "3", "--seed", "5"], "--seed"),
         (["verify", "--n", "3", "--jobs", "0"], "jobs = 0"),
         (["verify", "--n", "3", "--jobs", "-2"], "jobs = -2"),
+        (["map", "0,1,x"], "'x'"),
+        (["map", "[0, true]"], "True"),
+        (["map", "[0, [1]]"], "[1]"),
+        (["map", '["0", "y"]'], "'y'"),
+        pytest.param(
+            ["map", "1" * (sys.get_int_max_str_digits() + 1)],
+            "'" + "1" * (sys.get_int_max_str_digits() + 1) + "'",
+            id="overlong_token",
+        ),
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv, named):
@@ -573,3 +583,45 @@ def test_poly_compare_exits_1_when_a_family_is_wrong(capsys, monkeypatch):
 def test_file_dash_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("2 1 3\n"))
     assert run(capsys, "unmap", "--file", "-") == (0, "0 1 1\n", "")
+
+
+TOP_USAGE = "usage: parkforest [-h] {map,unmap,pa,stats,verify,poly} ...\n"
+UNRECOGNIZED = TOP_USAGE + "parkforest: error: unrecognized arguments: "
+
+# Each call's exit code and how its output begins: all of it where the
+# library writes it, and up to where argparse's wording varies across
+# Python versions where argparse writes it.
+DISPATCH = [
+    (["map", "0", "--bogus"], 2, UNRECOGNIZED + "--bogus\n"),
+    (["map", "0", "1"], 2, UNRECOGNIZED + "1\n"),
+    (["map", "-1,2"], 2, UNRECOGNIZED + "-1,2\n"),
+    (["map", "--", "0,1"], 0, "1 2\n"),
+    (
+        ["map", "0,1", "--js"],
+        0,
+        '{"labelMap": {"carToVertex": [2, 1], "vertexToCar": [2, 1]},'
+        ' "n": 2, "parking": [1, 2]}\n',
+    ),
+    (["map", "--help"], 0, "usage: parkforest map [-h] [--file FILE] [--json] [--trace]"),
+    (["-h"], 0, TOP_USAGE + "\nforests <-> parking functions"),
+    ([], 2, TOP_USAGE + "parkforest: error: the following arguments are required: command\n"),
+    (["bogus"], 2, TOP_USAGE + "parkforest: error: argument command: invalid choice: "),
+    (["verify"], 2, "usage: parkforest verify [-h] --n N "),
+    (["poly", "--n", "3", "--family", "x"], 2, "usage: parkforest poly [-h] --n N --family"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, begins", DISPATCH, ids=[" ".join(argv) or "(none)" for argv, *_ in DISPATCH]
+)
+def test_each_call_prints_what_the_top_level_parser_prints(
+    capsys, monkeypatch, argv, code, begins
+):
+    # main parses with the subcommand's own parser where it can; the
+    # reference parses every call with the top-level parser.
+    monkeypatch.setenv("COLUMNS", "80")
+    got = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
+    assert got == outcome(capsys, argv)
+    assert got[0] == code
+    assert (got[1] or got[2]).startswith(begins)

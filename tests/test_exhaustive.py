@@ -195,10 +195,10 @@ def test_verify_starts_no_more_workers_than_slices(serial_pool):
     assert report.ok and report.forest_count == forest_count(3)
 
 
-def test_serial_sweep_holds_one_image_table(monkeypatch):
-    # The serial sweep's peak, against what its one slice holds when it
-    # returns (the image table, and the tuple free lists it filled).  A
-    # merge into a fresh table reads 1.38-1.43 (Python 3.11), one table 1.03.
+def traced_sweep(monkeypatch, n, jobs=None):
+    """verify_bijection(n, jobs) under tracemalloc: its peak, and what
+    each slice holds when it returns (its image table, and the tuple free
+    lists it filled)."""
     held = []
     real = ex._verify_slice
 
@@ -211,12 +211,26 @@ def test_serial_sweep_holds_one_image_table(monkeypatch):
     monkeypatch.setattr(ex, "_verify_slice", measured)
     tracemalloc.start()
     try:
-        assert verify_bijection(6).ok
+        assert verify_bijection(n, jobs=jobs).ok
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, held
+
+
+def test_serial_sweep_holds_one_image_table(monkeypatch):
+    # A merge into a fresh table reads 1.38-1.43 (Python 3.11), one table 1.03.
+    peak, held = traced_sweep(monkeypatch, 6)
     assert len(held) == 1
     assert peak <= 1.25 * held[0]
+
+
+def test_split_sweep_drops_each_slice_once_merged(monkeypatch, serial_pool):
+    # Six slices, against their sum.  Holding every slice through the
+    # merge reads 1.37 (Python 3.11), dropping each once merged 1.11.
+    peak, held = traced_sweep(monkeypatch, 6, jobs=2)
+    assert serial_pool == [2] and len(held) == 6
+    assert peak <= 1.25 * sum(held)
 
 
 def test_split_sweep_counts_collisions_across_slices(monkeypatch, serial_pool):

@@ -1,5 +1,6 @@
 """Polynomial arithmetic and the small generating-polynomial goldens."""
 
+from collections import Counter
 from math import prod
 
 import pytest
@@ -18,6 +19,7 @@ from parkforest import (
     lucky_product_formula,
     statistic_product,
 )
+from parkforest import genpoly
 from parkforest.genpoly import _make_key
 
 
@@ -156,6 +158,30 @@ def test_lead_tree_poly_matches_closed_product_through_seven():
     # Forest-side counterpart of the closed product, at full sweep size.
     for n in range(1, 8):
         assert lead_tree_poly(n) == critic_lucky_product_formula(n)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [inversion_type_poly, jump_type_poly, lucky_poly, critic_lucky_poly, lead_tree_poly],
+    ids=lambda family: family.__name__,
+)
+def test_tallied_terms_match_the_checked_constructor(monkeypatch, family):
+    # _tally builds its keys itself; GenPoly(...) checks and sorts them.
+    real = genpoly._tally
+    seen = []
+
+    def recorded(names, keys):
+        keys = list(keys)
+        seen.append((names, keys))
+        return real(names, keys)
+
+    monkeypatch.setattr(genpoly, "_tally", recorded)
+    for n in range(6):
+        seen.clear()
+        terms = family(n).terms
+        [(names, keys)] = seen
+        checked = GenPoly({tuple(zip(names, k)): c for k, c in Counter(keys).items()})
+        assert terms == checked.terms
 
 
 def test_type_polys_reject_oversized_n():

@@ -37,14 +37,15 @@ for term in forest_side.as_terms()[:3]:
 print()
 print("collapsed:", collapse_type_poly(forest_side).render())
 
-# Lucky cars alone: the enumerated distribution equals the product
-# u * (1 + (n)u)(2 + (n-1)u)...  expanded with exact coefficients.
+# Lucky cars alone: the distribution counted over every parking function
+# equals the product u * (1 + (n)u)(2 + (n-1)u)...  expanded with exact
+# coefficients.
 print()
 for k in range(1, 6):
-    enumerated = lucky_poly(k)
+    counted = lucky_poly(k)
     closed = lucky_product_formula(k)
-    assert enumerated == closed
-    print(f"lucky distribution n={k}: {enumerated.render()}")
+    assert counted == closed
+    print(f"lucky distribution n={k}: {counted.render()}")
 
 # The joint (critical, lucky) distribution also factors, and the forest
 # side tells the same story with (trees, leaders).

@@ -107,6 +107,16 @@ def forest_count(n: int) -> int:
     return (n + 1) ** (n - 1) if n > 0 else 1
 
 
+def _check_sweep_size(n: int, objects: str) -> None:
+    """The size checks of a full sweep over every object of size n: n is
+    at least 0, and at most MAX_ENUMERATION_N."""
+    _check_size(n)
+    if n > MAX_ENUMERATION_N:
+        raise BudgetExceededError(
+            f"full {objects} sweeps stop at n = {MAX_ENUMERATION_N}, got {n}"
+        )
+
+
 def _root_reachers(head: tuple[int, ...], n: int) -> list[int] | None:
     """The parents vertex n may take, given those of vertices 1..n-1.
 
@@ -140,11 +150,7 @@ def all_forests(n: int, first_parent: int | None = None) -> Iterator[Forest]:
     first_parent restricts to forests where vertex 1 has that parent,
     which is how parallel verification splits the work.
     """
-    _check_size(n)
-    if n > MAX_ENUMERATION_N:
-        raise BudgetExceededError(
-            f"full forest sweeps stop at n = {MAX_ENUMERATION_N}, got {n}"
-        )
+    _check_sweep_size(n, "forest")
     if first_parent is not None and not 0 <= first_parent <= n:
         raise OutOfRangeError(
             f"vertex 1 takes a parent in 0..{n}, got first_parent = {first_parent}"
@@ -174,11 +180,7 @@ def all_parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     b_{n-1}, they have a completion exactly when every b_i <= i+1; the last
     car may then prefer 1 up to the first i with b_i = i+1, or up to n.
     """
-    _check_size(n)
-    if n > MAX_ENUMERATION_N:
-        raise BudgetExceededError(
-            f"full parking-function sweeps stop at n = {MAX_ENUMERATION_N}, got {n}"
-        )
+    _check_sweep_size(n, "parking-function")
     if n == 0:
         yield ()
         return
@@ -333,6 +335,7 @@ def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
         raise OutOfRangeError(
             f"jobs counts worker processes from 1, got jobs = {jobs}"
         )
+    _check_size(n)
     if n > MAX_VERIFICATION_N:
         raise BudgetExceededError(
             f"exhaustive verification stops at n = {MAX_VERIFICATION_N}, got {n};"

@@ -32,6 +32,16 @@ and the closed products they must equal:
 with (a, b, c) = (1, u, u) for lucky_poly and (1, u, c*u) for
 critic_lucky_poly.  The type polynomials match each other term by term,
 and collapse under q0 -> u, qk -> q^k to bivariate summaries.
+
+The two sides are computed independently.  The forest side enumerates:
+inversion_type_poly and lead_tree_poly run forest_stats on every forest
+of all_forests(n).  The parking side counts: its three families come
+from one sweep over parking states, which parks one car at a time with
+every preference and merges the preference prefixes that leave the same
+state, so it lists no parking function and shares no code with
+parking_stats or the backward map.  Parking functions that share a
+prefix share its parking, so the sweep holds 340 states in all at n = 5,
+for 1,296 parking functions, and 20,663 at n = 8, for 4,782,969.
 """
 
 from __future__ import annotations
@@ -45,12 +55,12 @@ from math import prod
 from operator import index
 
 from .errors import BudgetExceededError, OutOfRangeError
-from .exhaustive import all_forests, all_parking_functions
+from .exhaustive import _check_sweep_size, all_forests
 from .forest_stats import forest_stats
-from .parking import parking_stats
 
-# The type polynomials enumerate every object and compute the full type
-# vector for each; past this size the sweep leaves desk scale.
+# The type polynomials count the full type vector of every object, and
+# inversion_type_poly enumerates every forest; past this size that leaves
+# desk scale.
 MAX_TYPE_POLY_N = 6
 
 Key = tuple[tuple[str, int], ...]
@@ -203,8 +213,8 @@ class GenPoly:
 # Statistic generating polynomials
 
 
-def _tally(names: Sequence[str], keys: Iterable[tuple[int, ...]]) -> GenPoly:
-    """Sum over keys of names[0]^key[0] * names[1]^key[1] * ...
+def _tally(names: Sequence[str], counts: Mapping[tuple[int, ...], int]) -> GenPoly:
+    """Sum over keys of count * names[0]^key[0] * names[1]^key[1] * ...
 
     The names are distinct, so distinct keys give distinct monomials and
     each key's count is its coefficient.  The keys are statistics, counts
@@ -214,29 +224,86 @@ def _tally(names: Sequence[str], keys: Iterable[tuple[int, ...]]) -> GenPoly:
     order = sorted(range(len(names)), key=lambda i: _var_sort_key(names[i]))
     return _sum(
         (tuple([(names[i], k[i]) for i in order if k[i]]), count)
-        for k, count in Counter(keys).items()
+        for k, count in counts.items()
     )
 
 
-def _type_poly(n: int, keys: Iterable[tuple[int, ...]]) -> GenPoly:
-    """q0^t[0] * ... * q(n-1)^t[n-1] * c^k over keys t[0], ..., t[n-1], k."""
+def _type_names(n: int) -> list[str]:
+    """q0, ..., q(n-1) and c, the variables of the type polynomials."""
     if n > MAX_TYPE_POLY_N:
         raise BudgetExceededError(
             f"type polynomials stop at n = {MAX_TYPE_POLY_N}, got {n}"
         )
-    return _tally([f"q{k}" for k in range(n)] + ["c"], keys)
+    return [f"q{k}" for k in range(n)] + ["c"]
+
+
+def _parking_counts(n: int) -> Counter:
+    """How many parking functions of length n have each key
+    (t[0], ..., t[n-1], critic): the jump type t and the critical cars.
+
+    Counted, not enumerated: the cars park one at a time, each with
+    every preference 1..n, and the preference prefixes that leave the
+    same parking state are merged, with their number.  A state is
+    (taken, crit, code): taken has bit s-1 set when space s is taken;
+    crit the same for the spaces of the cars that no later car has
+    parked right of; code the jump type so far, t[k] the digit of
+    (n+1)^k.  A prefix that parks a car past n is dropped, since no
+    completion of it is a parking function.
+    """
+    _check_sweep_size(n, "parking-function")
+    base = n + 1
+    digit = [base**k for k in range(base)]
+    prefs = range(1, n + 1)
+    states = {(0, 0, 0): 1}
+    for _ in prefs:
+        after: dict[tuple[int, int, int], int] = {}
+        get = after.get
+        for (taken, crit, code), count in states.items():
+            for p in prefs:
+                # The car parks at the first free space from p on.
+                free = ~taken >> (p - 1)
+                s = p + (free & -free).bit_length() - 1
+                if s > n:
+                    continue
+                bit = 1 << (s - 1)
+                # Every car parked left of s stops being critical.
+                state = (taken | bit, (crit & -bit) | bit, code + digit[s - p])
+                after[state] = get(state, 0) + count
+        states = after
+    counts: Counter = Counter()
+    for (_, crit, code), count in states.items():
+        key = []
+        for _ in prefs:
+            code, t = divmod(code, base)
+            key.append(t)
+        key.append(crit.bit_count())
+        counts[tuple(key)] += count
+    return counts
+
+
+def _critic_lucky_counts(n: int) -> Counter:
+    """How many parking functions of length n have each (critic, lucky).
+
+    The lucky cars are those of jump 0, counted by t[0], the first entry
+    of each key.  At n = 0 the one key is (0,): its first entry is the
+    critic count 0, which the lucky count also is.
+    """
+    counts: Counter = Counter()
+    for key, count in _parking_counts(n).items():
+        counts[key[-1], key[0]] += count
+    return counts
 
 
 def inversion_type_poly(n: int) -> GenPoly:
     """Sum over forests of q0^t[0]*...*q(n-1)^t[n-1] * c^components."""
+    names = _type_names(n)
     stats = map(forest_stats, all_forests(n))
-    return _type_poly(n, (fs.inv_type[:-1] + (fs.tree,) for fs in stats))
+    return _tally(names, Counter(fs.inv_type[:-1] + (fs.tree,) for fs in stats))
 
 
 def jump_type_poly(n: int) -> GenPoly:
     """Sum over parking functions of q0^t[0]*... * c^critical."""
-    stats = map(parking_stats, all_parking_functions(n))
-    return _type_poly(n, (ps.jump_type[:-1] + (ps.critic,) for ps in stats))
+    return _tally(_type_names(n), _parking_counts(n))
 
 
 def collapse_type_poly(poly: GenPoly) -> GenPoly:
@@ -250,15 +317,17 @@ def collapse_type_poly(poly: GenPoly) -> GenPoly:
 
 
 def lucky_poly(n: int) -> GenPoly:
-    """Sum over parking functions of u^lucky, by enumeration."""
-    stats = map(parking_stats, all_parking_functions(n))
-    return _tally(["u"], ((ps.lucky,) for ps in stats))
+    """Sum over parking functions of u^lucky, counted over parking states."""
+    counts: Counter = Counter()
+    for (_, lucky), count in _critic_lucky_counts(n).items():
+        counts[lucky,] += count
+    return _tally(["u"], counts)
 
 
 def critic_lucky_poly(n: int) -> GenPoly:
-    """Sum over parking functions of c^critic * u^lucky, by enumeration."""
-    stats = map(parking_stats, all_parking_functions(n))
-    return _tally(["c", "u"], ((ps.critic, ps.lucky) for ps in stats))
+    """Sum over parking functions of c^critic * u^lucky, counted over
+    parking states."""
+    return _tally(["c", "u"], _critic_lucky_counts(n))
 
 
 def lead_tree_poly(n: int) -> GenPoly:
@@ -269,7 +338,7 @@ def lead_tree_poly(n: int) -> GenPoly:
     the forest side alone.
     """
     stats = map(forest_stats, all_forests(n))
-    return _tally(["c", "u"], ((fs.tree, fs.lead) for fs in stats))
+    return _tally(["c", "u"], Counter((fs.tree, fs.lead) for fs in stats))
 
 
 def statistic_product(

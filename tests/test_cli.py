@@ -336,6 +336,8 @@ def test_pa_reports_overflow_past_n(capsys):
         (["map", "[1.5, 0]"], "1.5"),
         (["verify", "--n", "-2"], "-2"),
         (["verify", "--n", "-2", "--random", "3"], "-2"),
+        (["verify", "--n", "-1"], "sizes start at 0, got n = -1"),
+        (["verify", "--n", "-1", "--jobs", "2"], "sizes start at 0, got n = -1"),
         (["poly", "--n", "0", "--family", "lucky", "--compare-product"], "n >= 1"),
         (["verify", "--n", "3", "--random", "2", "--jobs", "4"], "--jobs"),
         (["verify", "--n", "3", "--seed", "5"], "--seed"),

@@ -266,6 +266,13 @@ def test_verify_random_rejects_negative_counts_and_sizes():
     assert verify_random(3, 0).forest_count == 0
 
 
+def test_verify_bijection_rejects_negative_sizes():
+    # Checked before the forest pass, whose block size divides by n + 1.
+    for jobs in (None, 2):
+        with pytest.raises(OutOfRangeError, match="sizes start at 0, got n = -1"):
+            verify_bijection(-1, jobs=jobs)
+
+
 def test_forest_count_rejects_negative_sizes():
     with pytest.raises(OutOfRangeError, match="sizes start at 0, got n = -1"):
         forest_count(-1)

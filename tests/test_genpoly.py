@@ -1,5 +1,6 @@
 """Polynomial arithmetic and the small generating-polynomial goldens."""
 
+import time
 from collections import Counter
 from math import prod
 
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from parkforest import (
     BudgetExceededError,
     GenPoly,
+    all_parking_functions,
     collapse_type_poly,
     critic_lucky_poly,
     critic_lucky_product_formula,
@@ -17,6 +19,7 @@ from parkforest import (
     lead_tree_poly,
     lucky_poly,
     lucky_product_formula,
+    parking_stats,
     statistic_product,
 )
 from parkforest import genpoly
@@ -170,18 +173,49 @@ def test_tallied_terms_match_the_checked_constructor(monkeypatch, family):
     real = genpoly._tally
     seen = []
 
-    def recorded(names, keys):
-        keys = list(keys)
-        seen.append((names, keys))
-        return real(names, keys)
+    def recorded(names, counts):
+        seen.append((names, dict(counts)))
+        return real(names, counts)
 
     monkeypatch.setattr(genpoly, "_tally", recorded)
     for n in range(6):
         seen.clear()
         terms = family(n).terms
-        [(names, keys)] = seen
-        checked = GenPoly({tuple(zip(names, k)): c for k, c in Counter(keys).items()})
+        [(names, counts)] = seen
+        checked = GenPoly({tuple(zip(names, k)): c for k, c in counts.items()})
         assert terms == checked.terms
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_parking_state_counts_match_a_per_object_tally(n):
+    # The sweep counts parking states; the reference parks every parking
+    # function on its own, through parking_stats.
+    want = Counter(
+        (*ps.jump_type[:-1], ps.critic)
+        for ps in map(parking_stats, all_parking_functions(n))
+    )
+    assert genpoly._parking_counts(n) == want
+
+
+def test_lucky_polys_match_their_products_at_the_enumeration_budget():
+    assert lucky_poly(8) == lucky_product_formula(8)
+    assert critic_lucky_poly(8) == critic_lucky_product_formula(8)
+
+
+def test_critic_lucky_poly_time_grows_with_the_parking_states():
+    # The sweep holds 1,348 parking states in all at n = 6 and 5,300 at
+    # n = 7, and takes about 4.5 times as long at n = 7.  Running every
+    # parking function through parking_stats takes about 16 times as
+    # long, as their number grows from 7^5 to 8^6.
+    def best_of_3(n):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            critic_lucky_poly(n)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_3(7) <= 8 * best_of_3(6)
 
 
 def test_type_polys_reject_oversized_n():

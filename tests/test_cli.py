@@ -336,8 +336,6 @@ def test_pa_reports_overflow_past_n(capsys):
         (["map", "[1.5, 0]"], "1.5"),
         (["verify", "--n", "-2"], "-2"),
         (["verify", "--n", "-2", "--random", "3"], "-2"),
-        (["verify", "--n", "-1"], "sizes start at 0, got n = -1"),
-        (["verify", "--n", "-1", "--jobs", "2"], "sizes start at 0, got n = -1"),
         (["poly", "--n", "0", "--family", "lucky", "--compare-product"], "n >= 1"),
         (["verify", "--n", "3", "--random", "2", "--jobs", "4"], "--jobs"),
         (["verify", "--n", "3", "--seed", "5"], "--seed"),
@@ -347,6 +345,8 @@ def test_pa_reports_overflow_past_n(capsys):
         (["map", "[0, true]"], "True"),
         (["map", "[0, [1]]"], "[1]"),
         (["map", '["0", "y"]'], "'y'"),
+        (["verify", "--n", "-1"], "sizes start at 0, got n = -1"),
+        (["verify", "--n", "-1", "--jobs", "2"], "sizes start at 0, got n = -1"),
         pytest.param(
             ["map", "1" * (sys.get_int_max_str_digits() + 1)],
             "'" + "1" * (sys.get_int_max_str_digits() + 1) + "'",

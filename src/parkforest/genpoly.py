@@ -33,15 +33,25 @@ with (a, b, c) = (1, u, u) for lucky_poly and (1, u, c*u) for
 critic_lucky_poly.  The type polynomials match each other term by term,
 and collapse under q0 -> u, qk -> q^k to bivariate summaries.
 
-The two sides are computed independently.  The forest side enumerates:
-inversion_type_poly and lead_tree_poly run forest_stats on every forest
-of all_forests(n).  The parking side counts: its three families come
-from one sweep over parking states, which parks one car at a time with
-every preference and merges the preference prefixes that leave the same
-state, so it lists no parking function and shares no code with
-parking_stats or the backward map.  Parking functions that share a
-prefix share its parking, so the sweep holds 340 states in all at n = 5,
-for 1,296 parking functions, and 20,663 at n = 8, for 4,782,969.
+The two sides are computed independently, and both count: neither
+lists its objects, and neither shares code with forest_stats,
+parking_stats or the maps.  The forest side counts by the root
+recursion behind Kreweras's inversion enumerator.  A vertex's
+inversions depend only on the relative order of the labels in its
+subtree, so with T_k the trees and F_k the forests on k labels, and G_k
+the forests with c = 1,
+
+  T_k = (q0 + q1 + ... + q(k-1)) * G_(k-1)
+  F_k = sum_{j=1}^{k} C(k-1, j-1) * c * T_j * F_(k-j),   F_0 = 1:
+
+the root of rank j among its tree's labels has j inversions, and a
+forest splits into the tree of its smallest label and the rest.  The
+parking side counts: its three families come from one sweep over
+parking states, which parks one car at a time with every preference and
+merges the preference prefixes that leave the same state.  Parking
+functions that share a prefix share its parking, so the sweep holds 340
+states in all at n = 5, for 1,296 parking functions, and 20,663 at
+n = 8, for 4,782,969.
 """
 
 from __future__ import annotations
@@ -51,16 +61,15 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain, repeat
-from math import prod
+from math import comb, prod
 from operator import index
 
 from .errors import BudgetExceededError, OutOfRangeError
-from .exhaustive import _check_sweep_size, all_forests
-from .forest_stats import forest_stats
+from .exhaustive import _check_sweep_size
 
-# The type polynomials count the full type vector of every object, and
-# inversion_type_poly enumerates every forest; past this size that leaves
-# desk scale.
+# The type polynomials have one term per (type, components) key: 196 at
+# n = 6, 625 at 7 and 2,055 at 8.  Both sides count, so time does not set
+# this bound; it keeps the printed polynomials at desk scale.
 MAX_TYPE_POLY_N = 6
 
 Key = tuple[tuple[str, int], ...]
@@ -237,6 +246,15 @@ def _type_names(n: int) -> list[str]:
     return [f"q{k}" for k in range(n)] + ["c"]
 
 
+def _digits(code: int, base: int, count: int) -> list[int]:
+    """The lowest count digits of code in base, the lowest first."""
+    digits = []
+    for _ in range(count):
+        code, d = divmod(code, base)
+        digits.append(d)
+    return digits
+
+
 def _parking_counts(n: int) -> Counter:
     """How many parking functions of length n have each key
     (t[0], ..., t[n-1], critic): the jump type t and the critical cars.
@@ -272,33 +290,74 @@ def _parking_counts(n: int) -> Counter:
         states = after
     counts: Counter = Counter()
     for (_, crit, code), count in states.items():
-        key = []
-        for _ in prefs:
-            code, t = divmod(code, base)
-            key.append(t)
-        key.append(crit.bit_count())
-        counts[tuple(key)] += count
+        counts[(*_digits(code, base, n), crit.bit_count())] += count
     return counts
 
 
-def _critic_lucky_counts(n: int) -> Counter:
-    """How many parking functions of length n have each (critic, lucky).
+def _forest_counts(n: int) -> Counter:
+    """How many forests on n vertices have each key
+    (t[0], ..., t[n-1], tree): the inversion type t and the components.
 
-    The lucky cars are those of jump 0, counted by t[0], the first entry
-    of each key.  At n = 0 the one key is (0,): its first entry is the
-    critic count 0, which the lucky count also is.
+    Counted, not enumerated: a vertex's inversions depend only on the
+    relative order of the labels in its subtree, so the forests on any k
+    labels count as those on 1..k do.  The root of a tree on k labels,
+    of rank j among them from 0, has j inversions, and its children form
+    a forest on the other k-1.  A forest on k labels is the tree of its
+    smallest label, on j labels, the j-1 others chosen in C(k-1, j-1)
+    ways, beside a forest on the k-j left.  A key is coded as a number:
+    t[i] the digit of (n+1)^i, and tree the digit of (n+1)^n.
     """
+    _check_sweep_size(n, "forest")
+    base = n + 1
+    digit = [base**k for k in range(base)]
+    mark = digit[-1]  # one component
+    trees: list[dict[int, int]] = [{}]  # by size: type code -> count
+    forests: list[dict[int, int]] = [{0: 1}]  # by size: key code -> count
+    for k in range(1, base):
+        tree: dict[int, int] = {}
+        get = tree.get
+        for code, count in forests[k - 1].items():
+            code %= mark  # the children's components are not the tree's
+            for j in range(k):
+                key = code + digit[j]
+                tree[key] = get(key, 0) + count
+        trees.append(tree)
+        forest: dict[int, int] = {}
+        get = forest.get
+        for j in range(1, k + 1):
+            ways = comb(k - 1, j - 1)
+            rest = forests[k - j].items()
+            for a, ca in trees[j].items():
+                a += mark
+                ca *= ways
+                for b, cb in rest:
+                    key = a + b
+                    forest[key] = get(key, 0) + ca * cb
+        forests.append(forest)
     counts: Counter = Counter()
-    for key, count in _parking_counts(n).items():
-        counts[key[-1], key[0]] += count
+    for code, count in forests[n].items():
+        counts[tuple(_digits(code, base, base))] = count
     return counts
+
+
+def _c_and_u_counts(counts: Mapping[tuple[int, ...], int]) -> Counter:
+    """Type counts folded to the exponents of c and u, (key[-1], key[0]):
+    (critic, lucky) on the parking side, (tree, leaders) on the forest side.
+
+    The lucky cars are those of jump 0 and the leaders the vertices of
+    no inversion, so t[0] counts both.  At n = 0 the one key is (0,): its
+    first entry is the mark count 0, which the t[0] count also is.
+    """
+    folded: Counter = Counter()
+    for key, count in counts.items():
+        folded[key[-1], key[0]] += count
+    return folded
 
 
 def inversion_type_poly(n: int) -> GenPoly:
     """Sum over forests of q0^t[0]*...*q(n-1)^t[n-1] * c^components."""
     names = _type_names(n)
-    stats = map(forest_stats, all_forests(n))
-    return _tally(names, Counter(fs.inv_type[:-1] + (fs.tree,) for fs in stats))
+    return _tally(names, _forest_counts(n))
 
 
 def jump_type_poly(n: int) -> GenPoly:
@@ -319,7 +378,7 @@ def collapse_type_poly(poly: GenPoly) -> GenPoly:
 def lucky_poly(n: int) -> GenPoly:
     """Sum over parking functions of u^lucky, counted over parking states."""
     counts: Counter = Counter()
-    for (_, lucky), count in _critic_lucky_counts(n).items():
+    for (_, lucky), count in _c_and_u_counts(_parking_counts(n)).items():
         counts[lucky,] += count
     return _tally(["u"], counts)
 
@@ -327,18 +386,17 @@ def lucky_poly(n: int) -> GenPoly:
 def critic_lucky_poly(n: int) -> GenPoly:
     """Sum over parking functions of c^critic * u^lucky, counted over
     parking states."""
-    return _tally(["c", "u"], _critic_lucky_counts(n))
+    return _tally(["c", "u"], _c_and_u_counts(_parking_counts(n)))
 
 
 def lead_tree_poly(n: int) -> GenPoly:
-    """Sum over forests of c^components * u^leaders, by enumeration.
+    """Sum over forests of c^components * u^leaders.
 
     Must equal critic_lucky_poly(n) term by term, and therefore also the
     closed product; worth holding separately because it is computed from
     the forest side alone.
     """
-    stats = map(forest_stats, all_forests(n))
-    return _tally(["c", "u"], Counter((fs.tree, fs.lead) for fs in stats))
+    return _tally(["c", "u"], _c_and_u_counts(_forest_counts(n)))
 
 
 def statistic_product(

@@ -10,10 +10,12 @@ from hypothesis import given, strategies as st
 from parkforest import (
     BudgetExceededError,
     GenPoly,
+    all_forests,
     all_parking_functions,
     collapse_type_poly,
     critic_lucky_poly,
     critic_lucky_product_formula,
+    forest_stats,
     inversion_type_poly,
     jump_type_poly,
     lead_tree_poly,
@@ -197,9 +199,32 @@ def test_parking_state_counts_match_a_per_object_tally(n):
     assert genpoly._parking_counts(n) == want
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_forest_counts_match_a_per_forest_tally(n):
+    # The recursion counts forests by their roots; the reference runs
+    # every forest through forest_stats on its own.
+    want = Counter(
+        fs.inv_type[:-1] + (fs.tree,) for fs in map(forest_stats, all_forests(n))
+    )
+    assert genpoly._forest_counts(n) == want
+
+
 def test_lucky_polys_match_their_products_at_the_enumeration_budget():
     assert lucky_poly(8) == lucky_product_formula(8)
     assert critic_lucky_poly(8) == critic_lucky_product_formula(8)
+
+
+def test_lead_tree_poly_matches_its_product_at_the_enumeration_budget():
+    assert lead_tree_poly(8) == critic_lucky_product_formula(8)
+
+
+def best_of_3(family, n):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        family(n)
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 def test_critic_lucky_poly_time_grows_with_the_parking_states():
@@ -207,15 +232,15 @@ def test_critic_lucky_poly_time_grows_with_the_parking_states():
     # n = 7, and takes about 4.5 times as long at n = 7.  Running every
     # parking function through parking_stats takes about 16 times as
     # long, as their number grows from 7^5 to 8^6.
-    def best_of_3(n):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            critic_lucky_poly(n)
-            times.append(time.perf_counter() - start)
-        return min(times)
+    assert best_of_3(critic_lucky_poly, 7) <= 8 * best_of_3(critic_lucky_poly, 6)
 
-    assert best_of_3(7) <= 8 * best_of_3(6)
+
+def test_lead_tree_poly_time_grows_with_the_counted_keys():
+    # The recursion holds 196 keys at n = 6 and 625 at n = 7, and takes
+    # about 3.5 times as long at n = 7.  Running every forest through
+    # forest_stats takes about 17 times as long, as their number grows
+    # from 7^5 to 8^6.
+    assert best_of_3(lead_tree_poly, 7) <= 8 * best_of_3(lead_tree_poly, 6)
 
 
 def test_type_polys_reject_oversized_n():

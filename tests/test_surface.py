@@ -106,10 +106,13 @@ def test_oracles_share_no_code_with_the_map_cores():
     # maps themselves are what exhaustive.py checks, so it calls them
     # whole.  The one shared piece is park's loop: parking_stats and the
     # backward map both run it.  The enumerators and sorted_parking_test are the
-    # independent parking side.
+    # independent parking side.  The generating polynomials (genpoly.py)
+    # count both sides from their definitions, so they name no statistic
+    # or enumerator either: each side of an identity has its own code.
     cores = {"_claim_walk", "_layout", "_relabel", "_nearest_larger_right"}
+    objects = {"forest_stats", "all_forests", "parking_stats", "all_parking_functions"}
     package = Path(parkforest.__file__).resolve().parent
-    for name in ("forest_stats.py", "exhaustive.py"):
+    for name in ("forest_stats.py", "exhaustive.py", "genpoly.py"):
         tree = ast.parse((package / name).read_text(), name)
         named = set()
         for node in ast.walk(tree):
@@ -120,3 +123,5 @@ def test_oracles_share_no_code_with_the_map_cores():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 named |= {a.name.rsplit(".", 1)[-1] for a in node.names}
         assert not named & cores, f"{name} names {sorted(named & cores)}"
+        if name == "genpoly.py":
+            assert not named & objects, f"{name} names {sorted(named & objects)}"

@@ -25,7 +25,7 @@ result (by default in the split below, largest child first): along any
 ancestors-first sweep, the current labels of the strict descendants
 of the vertex in hand keep the relative order of their names.
 relabel_decreasing is inverse_relabel with every vertex asking for the
-top rank (target -1), and one top-down split does both.  Each vertex
+top rank (size - 1), and one top-down split does both.  Each vertex
 holds two aligned sorted lists, the names in its subtree and the labels
 they hold; it pops its label by rank, drops its name (at its inversion
 count), bisects the lighter children's entries out and hands the lists
@@ -104,8 +104,8 @@ def _relabel(
     """Both relabelings in one top-down pass, splitting small off large.
 
     Each vertex v gets the (targets[v]+1)-th smallest label of its
-    subtree, as in inverse_relabel; -1 asks for the top, as in
-    relabel_decreasing.  The targets are not checked.  po is a
+    subtree, as in inverse_relabel; -1 asks for the top, as in the
+    forward map.  The targets are not checked.  po is a
     postorder ending in the root, so the subtree of v is
     po[end[v] - size[v]:end[v]].  Each vertex hands its lists to its
     largest child, the vertex swept next.  Of the lighter children, a
@@ -176,16 +176,15 @@ def relabel_decreasing(
     Processing a vertex v hands v the largest current label in its
     subtree and redistributes the remaining subtree labels over the
     strict descendants without disturbing their relative order.  The
-    result does not depend on the processing order.  This is
-    inverse_relabel with every vertex asking for the top rank.
+    result does not depend on the processing order.  It is
+    inverse_relabel at the top rank: each vertex v asks for rank
+    size(v) - 1 of its subtree, on the default path and with an order.
 
     Returns labels with labels[v] the new label of vertex v (labels[0]
     is a sentinel 0).
     """
-    po, size, end = _layout(t.root, t.children, t.parent)
-    if order is not None:
-        return inverse_relabel(t, [s - 1 for s in size], order)
-    return tuple(_relabel(t.children, size, end, po, [-1] * len(size))[0])
+    size = _layout(t.root, t.children, t.parent)[1]
+    return inverse_relabel(t, [s - 1 for s in size], order)
 
 
 def inverse_relabel(

@@ -331,7 +331,8 @@ def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
     jobs > 1 splits the sweep over at most that many worker processes,
     one slice per parent of vertex 1; None or 1 runs it in this process.
     """
-    if jobs is not None and jobs < 1:
+    n = index(n)
+    if jobs is not None and (jobs := index(jobs)) < 1:
         raise OutOfRangeError(
             f"jobs counts worker processes from 1, got jobs = {jobs}"
         )
@@ -422,6 +423,9 @@ def verify_random(n: int, count: int, seed: int | None = None) -> VerificationRe
     Without a seed, one is drawn from the system's source of randomness.
     The report carries the seed either way, so every run can be replayed.
     """
+    n, count = index(n), index(count)
+    if seed is not None:
+        seed = index(seed)
     _check_size(n)
     if count < 0:
         raise OutOfRangeError(f"counts start at 0, got count = {count}")

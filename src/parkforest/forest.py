@@ -13,7 +13,9 @@ the maximum of its subtree, so each child joins its parent's list in
 canonical order, and a walk that meets itself has found a cycle.  One
 function, _layout, reads the postorder, subtree sizes and positions off
 any drawn tree, for the forward map and both relabelings; its stack pass
-is the one postorder wraps.
+is the one postorder wraps.  The inversion oracle, forest_stats, builds
+its own child lists with upward_children, so it shares no traversal with
+the drawing.
 
 Forest and OrderedTree subclass collections.namedtuple, with empty __slots__.
 """
@@ -81,36 +83,6 @@ def validate_forest(parent: Sequence[int]) -> Forest:
         for u in path:
             state[u] = 2
     return Forest(parent)
-
-
-def children_lists(parent: Sequence[int]) -> list[list[int]]:
-    """Children of each vertex in label order; index 0 holds the roots."""
-    ch: list[list[int]] = [[] for _ in range(len(parent) + 1)]
-    for v, p in enumerate(parent, start=1):
-        ch[p].append(v)
-    return ch
-
-
-def upward_children(parent: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-    """The child lists of a forest (index 0 holds the roots) and an order
-    putting every vertex after all of its children: breadth first from
-    the roots, reversed.  Its one caller is forest_stats.
-
-    Forest does not validate.  On a bad parent sequence this raises the
-    error validate_forest raises for it, found by one range check and one
-    count of the vertices reached from the roots.
-    """
-    n = len(parent)
-    if parent and (min(parent) < 0 or max(parent) > n):
-        validate_forest(parent)
-    ch = children_lists(parent)
-    order = list(ch[0])
-    for v in order:  # the list grows while it is read
-        order += ch[v]
-    if len(order) < n:  # a vertex that never reaches a root
-        validate_forest(parent)
-    order.reverse()
-    return ch, order
 
 
 def _claim_walk(parent: Sequence[int]) -> tuple:

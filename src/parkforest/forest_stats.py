@@ -11,7 +11,7 @@ carrying a smaller label.  Derived from it, all returned by forest_stats:
               up index by index with the jump type of a preference
               sequence of length n (the top entry is always 0)
 
-forest_stats builds the child lists once, with forest.upward_children:
+forest_stats builds the child lists once, with upward_children:
 it also gives a breadth-first order from the roots reversed, which puts
 every vertex after its children, and rejects a bad parent sequence as
 validate_forest does.  inversion_counts sweeps that order keeping, per
@@ -37,7 +37,7 @@ from bisect import bisect_left, insort
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .forest import Forest, upward_children
+from .forest import Forest, validate_forest
 
 _R = 32  # a tail under 1/_R of the sorted front is inserted, not sorted
 
@@ -123,6 +123,36 @@ def subtree_label_lists(
         merged.sort()
         labels[v] = merged
     return labels
+
+
+def children_lists(parent: Sequence[int]) -> list[list[int]]:
+    """Children of each vertex in label order; index 0 holds the roots."""
+    ch: list[list[int]] = [[] for _ in range(len(parent) + 1)]
+    for v, p in enumerate(parent, start=1):
+        ch[p].append(v)
+    return ch
+
+
+def upward_children(parent: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """The child lists of a forest (index 0 holds the roots) and an order
+    putting every vertex after all of its children: breadth first from
+    the roots, reversed.
+
+    Forest does not validate.  On a bad parent sequence this raises the
+    error validate_forest raises for it, found by one range check and one
+    count of the vertices reached from the roots.
+    """
+    n = len(parent)
+    if parent and (min(parent) < 0 or max(parent) > n):
+        validate_forest(parent)
+    ch = children_lists(parent)
+    order = list(ch[0])
+    for v in order:  # the list grows while it is read
+        order += ch[v]
+    if len(order) < n:  # a vertex that never reaches a root
+        validate_forest(parent)
+    order.reverse()
+    return ch, order
 
 
 def forest_stats(f: Forest) -> ForestStats:

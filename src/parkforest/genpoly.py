@@ -78,15 +78,16 @@ _VAR_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
 
 
 @lru_cache(maxsize=1024)  # every product sorts its keys by name; names are few
-def _var_sort_key(name: str) -> tuple[str, int]:
-    """A name's stem and index, -1 for none: q2 sorts before q10."""
+def _var_sort_key(name: str) -> tuple[str, int, str]:
+    """A name's stem and index, -1 for none, then the name itself: q2
+    sorts before q10, and q01 before q1, which has the same index."""
     m = _VAR_RE.match(name)
     if not m:
-        return (name, -1)
-    return (m.group(1), int(m.group(2)) if m.group(2) else -1)
+        return (name, -1, name)
+    return (m.group(1), int(m.group(2)) if m.group(2) else -1, name)
 
 
-def _by_name(item: tuple[str, int]) -> tuple[str, int]:
+def _by_name(item: tuple[str, int]) -> tuple[str, int, str]:
     return _var_sort_key(item[0])
 
 
@@ -369,7 +370,7 @@ def collapse_type_poly(poly: GenPoly) -> GenPoly:
     """Specialize a type polynomial: q0 -> u and qk -> q^k for k >= 1."""
     mapping: dict[str, GenPoly] = {}
     for name in poly.variables():
-        stem, k = _var_sort_key(name)
+        stem, k, _ = _var_sort_key(name)
         if stem == "q" and k >= 0:
             mapping[name] = GenPoly.var("u") if k == 0 else GenPoly.var("q", k)
     return poly.substitute(mapping)

@@ -37,6 +37,8 @@ from parkforest.bijection import unmap_trace
 from parkforest.genpoly import GenPoly
 from parkforest.parking import is_parking_function
 
+from support import critical_by_simulation
+
 
 def criterion(num, desc):
     def wrap(fn):
@@ -178,22 +180,9 @@ def test_criterion_08_order_independence():
 
 @criterion(9, "critical cars: parking-time definition matches word maxima, n <= 6")
 def test_criterion_09_critical_equivalence():
-    def by_simulation(prefs):
-        n = len(prefs)
-        occupied = bytearray(n + 2)
-        crit = []
-        for c, q in enumerate(prefs, start=1):
-            s = q
-            while occupied[s]:
-                s += 1
-            occupied[s] = 1
-            if all(occupied[t] for t in range(s + 1, n + 1)):
-                crit.append(c)
-        return tuple(crit)
-
     for n in range(7):
         for p in all_parking_functions(n):
-            assert sorted(parking_stats(p).critical_cars) == sorted(by_simulation(p))
+            assert sorted(parking_stats(p).critical_cars) == sorted(critical_by_simulation(p))
 
 
 @criterion(10, "sampler: 16000 draws at n=3 uniform within 5 sigma")

@@ -3,8 +3,6 @@
 import itertools
 import math
 import random
-import time
-import tracemalloc
 from bisect import bisect_left
 
 import pytest
@@ -35,12 +33,14 @@ from parkforest import (
     relabel_decreasing,
     sorted_parking_test,
     validate_forest,
+    verify_bijection,
+    verify_random,
 )
 from parkforest import bijection
 from parkforest.bijection import map_trace, unmap_trace
 from parkforest.forest import OrderedTree, _claim_walk, _layout
 
-from test_forest import forests
+from support import DEEP_SHAPES, best_of, deep_forest, forests, peak_bytes
 
 P14 = (10, 2, 6, 5, 7, 1, 13, 10, 4, 1, 14, 9, 11, 5)
 WORD14 = (6, 2, 10, 9, 4, 3, 5, 14, 12, 1, 8, 13, 7, 11, 15)
@@ -255,6 +255,14 @@ def test_backward_parents_are_the_nearest_larger_right_tree():
         # (n+1)^(n-1) is a float, not a count, at a float n.
         lambda: forest_count(2.5),
         lambda: forest_count(3.0),
+        # The sweeps read n, jobs, count and seed as integers before any
+        # work, so a whole float n fails there and not in the sweep.
+        lambda: verify_bijection(2.0),
+        lambda: verify_random(0.0, 2),
+        lambda: verify_bijection(2, jobs=2.5),
+        lambda: verify_random(3, 2.0),
+        lambda: verify_random(3, 2, seed=1.5),
+        lambda: verify_random(3, 2, seed="7"),
     ],
     ids=[
         "validate_forest",
@@ -268,6 +276,12 @@ def test_backward_parents_are_the_nearest_larger_right_tree():
         "map_trace_parent",
         "forest_count",
         "forest_count_whole_float",
+        "verify_bijection_n",
+        "verify_random_n",
+        "verify_bijection_jobs",
+        "verify_random_count",
+        "verify_random_seed",
+        "verify_random_seed_str",
     ],
 )
 def test_non_integer_input_is_rejected_not_truncated(call):
@@ -411,39 +425,6 @@ def test_forward_overlay_invariants():
         for v in range(1, m + 1):
             p = t.parent[v]
             assert rebuilt.parent[lab[v]] == (lab[p] if p else 0)
-
-
-DEEP_SHAPES = ["path_up", "path_down", "caterpillar", "broom", "star", "binary"]
-
-
-def deep_forest(shape, n, seed=0):
-    """A deep (or, for the star and the binary tree, shallow) forest on n
-    vertices.
-
-    The paths keep their labels in order; the other shapes are drawn on
-    positions 0..n-1 (entry i the parent position, -1 for the root) and
-    then labeled at random.
-    """
-    if shape == "path_up":
-        return Forest(tuple(range(n)))
-    if shape == "path_down":
-        return Forest(tuple(range(2, n + 1)) + (0,))
-    half = n // 2
-    spine = [i - 1 for i in range(half)]
-    if shape == "caterpillar":  # a leg on every spine vertex
-        shape_of = spine + list(range(n - half))
-    elif shape == "broom":  # every other vertex on the end of the handle
-        shape_of = spine + [half - 1] * (n - half)
-    elif shape == "star":
-        shape_of = [-1] + [0] * (n - 1)
-    else:  # complete binary tree: children with children of their own
-        shape_of = [(i - 1) // 2 for i in range(n)]
-    name = list(range(1, n + 1))
-    random.Random(seed).shuffle(name)
-    parent = [0] * n
-    for i, q in enumerate(shape_of):
-        parent[name[i] - 1] = name[q] if q >= 0 else 0
-    return Forest(tuple(parent))
 
 
 @pytest.mark.parametrize("shape", DEEP_SHAPES)
@@ -621,15 +602,6 @@ def test_forward_rejects_what_validate_forest_rejects(parent, error):
         assert str(got.value) == str(expected.value)
 
 
-def peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("shape", ["path_up", "path_down", "caterpillar", "broom"])
 def test_map_memory_is_linear_on_deep_shapes(shape):
     # Counts bytes, not time.  Quadratic memory would grow 16-fold from
@@ -646,16 +618,9 @@ def test_backward_time_is_near_linear_on_a_star():
     # cars.  Bisecting each leaf out of the centre's lists shifts them
     # once per leaf, 5-8 times path_down's time at this n.  The word of
     # (n, ..., 1) hangs every car on the last one: a star too.
-    def best_of_2(p):
-        times = []
-        for _ in range(2):
-            start = time.perf_counter()
-            parking_to_forest(p)
-            times.append(time.perf_counter() - start)
-        return min(times)
-
     n = 50_000
     star = forest_to_parking(deep_forest("star", n))[0]
-    bound = 2 * best_of_2(forest_to_parking(deep_forest("path_down", n))[0])
-    assert best_of_2(star) <= bound
-    assert best_of_2(tuple(range(n, 0, -1))) <= bound
+    path_down = forest_to_parking(deep_forest("path_down", n))[0]
+    bound = 2 * best_of(2, parking_to_forest, path_down)
+    assert best_of(2, parking_to_forest, star) <= bound
+    assert best_of(2, parking_to_forest, tuple(range(n, 0, -1))) <= bound

@@ -1,11 +1,10 @@
 """Forest construction, validation, canonical order, super-root."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from parkforest import (
     CycleError,
-    Forest,
     OutOfRangeError,
     SelfParentError,
     all_forests,
@@ -15,26 +14,9 @@ from parkforest import (
     validate_forest,
 )
 from parkforest.bijection import map_trace
-from parkforest.forest import children_lists
+from parkforest.forest_stats import children_lists
 
-
-def forests(max_n=8):
-    """Strategy: valid parent sequences drawn through attachment order."""
-
-    def build(draw):
-        n = draw(st.integers(min_value=0, max_value=max_n))
-        parent = [0] * n
-        # attach vertices in random order; each picks a parent among the
-        # already-attached vertices or the ground, so no cycles can form
-        order = draw(st.permutations(list(range(1, n + 1))))
-        placed = []
-        for v in order:
-            choice = draw(st.integers(min_value=0, max_value=len(placed)))
-            parent[v - 1] = 0 if choice == 0 else placed[choice - 1]
-            placed.append(v)
-        return Forest(tuple(parent))
-
-    return st.composite(build)()
+from support import forests
 
 
 def test_validate_accepts_simple_cases():

@@ -3,7 +3,6 @@
 import importlib
 import math
 import random
-import time
 
 import pytest
 from hypothesis import given
@@ -16,11 +15,9 @@ from parkforest import (
     postorder,
     sample_forest,
 )
-from parkforest.forest import children_lists
-from parkforest.forest_stats import inversion_counts
+from parkforest.forest_stats import children_lists, inversion_counts
 
-from test_bijection import DEEP_SHAPES, deep_forest
-from test_forest import forests
+from support import DEEP_SHAPES, best_of, deep_forest, forests
 
 stats_module = importlib.import_module("parkforest.forest_stats")
 
@@ -115,16 +112,8 @@ def test_forest_stats_time_is_near_linear_on_a_path():
     # A lone child's sorted label list is taken as it is, so each vertex
     # of a path costs one bisection and one append.  Quadratic time
     # would grow 16-fold from n = 5,000 to n = 20,000.
-    def best_of_3(n):
-        f = Forest(tuple(range(2, n + 1)) + (0,))  # parent[v] = v + 1
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            forest_stats(f)
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    assert best_of_3(20_000) <= 8 * best_of_3(5_000)
+    large, small = deep_forest("path_down", 20_000), deep_forest("path_down", 5_000)
+    assert best_of(3, forest_stats, large) <= 8 * best_of(3, forest_stats, small)
 
 
 def test_forest_stats_time_is_near_linear_on_a_caterpillar():
@@ -132,17 +121,9 @@ def test_forest_stats_time_is_near_linear_on_a_caterpillar():
     # re-sorting it, so a caterpillar pays what path_up pays: one
     # insertion per vertex into one long list.  A re-sort of the spine's
     # list at every spine vertex costs about 7 times path_up at this n.
-    def best_of_2(f):
-        times = []
-        for _ in range(2):
-            start = time.perf_counter()
-            forest_stats(f)
-            times.append(time.perf_counter() - start)
-        return min(times)
-
     n = 10_000
-    path_up = Forest(tuple(range(n)))  # parent[v] = v - 1
-    assert best_of_2(deep_forest("caterpillar", n)) <= 2 * best_of_2(path_up)
+    caterpillar, path_up = deep_forest("caterpillar", n), deep_forest("path_up", n)
+    assert best_of(2, forest_stats, caterpillar) <= 2 * best_of(2, forest_stats, path_up)
 
 
 def test_low_ratios_match_the_oracle_exhaustively_and_on_deep_shapes():

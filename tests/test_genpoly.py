@@ -1,6 +1,5 @@
 """Polynomial arithmetic and the small generating-polynomial goldens."""
 
-import time
 from collections import Counter
 from math import prod
 
@@ -26,6 +25,8 @@ from parkforest import (
 )
 from parkforest import genpoly
 from parkforest.genpoly import _make_key
+
+from support import best_of
 
 
 def U(e=1):
@@ -218,21 +219,12 @@ def test_lead_tree_poly_matches_its_product_at_the_enumeration_budget():
     assert lead_tree_poly(8) == critic_lucky_product_formula(8)
 
 
-def best_of_3(family, n):
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        family(n)
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def test_critic_lucky_poly_time_grows_with_the_parking_states():
     # The sweep holds 1,348 parking states in all at n = 6 and 5,300 at
     # n = 7, and takes about 4.5 times as long at n = 7.  Running every
     # parking function through parking_stats takes about 16 times as
     # long, as their number grows from 7^5 to 8^6.
-    assert best_of_3(critic_lucky_poly, 7) <= 8 * best_of_3(critic_lucky_poly, 6)
+    assert best_of(3, critic_lucky_poly, 7) <= 8 * best_of(3, critic_lucky_poly, 6)
 
 
 def test_lead_tree_poly_time_grows_with_the_counted_keys():
@@ -240,7 +232,7 @@ def test_lead_tree_poly_time_grows_with_the_counted_keys():
     # about 3.5 times as long at n = 7.  Running every forest through
     # forest_stats takes about 17 times as long, as their number grows
     # from 7^5 to 8^6.
-    assert best_of_3(lead_tree_poly, 7) <= 8 * best_of_3(lead_tree_poly, 6)
+    assert best_of(3, lead_tree_poly, 7) <= 8 * best_of(3, lead_tree_poly, 6)
 
 
 def test_type_polys_reject_oversized_n():
@@ -250,7 +242,7 @@ def test_type_polys_reject_oversized_n():
         jump_type_poly(7)
 
 
-NAMES = ["c", "q", "q0", "q2", "q10", "u"]
+NAMES = ["c", "q", "q0", "q01", "q1", "q2", "q10", "u"]
 
 monomials = st.tuples(
     st.dictionaries(st.sampled_from(NAMES), st.integers(0, 3), max_size=3),
@@ -288,6 +280,8 @@ def test_arithmetic_commutes_with_evaluation(a, b, k, e, point):
     for poly, value in cases:
         assert evaluate(poly, point) == value
         assert_canonical(poly)
+    assert a * b == b * a
+    assert a + b == b + a
 
 
 @pytest.mark.parametrize(
@@ -333,3 +327,8 @@ def test_entry_points_check_what_they_are_given():
     assert GenPoly({(("u", 1), ("c", 2)): 2, (("c", 2), ("u", 1)): -2}) == 0
     assert GenPoly({(("u", 0),): 3}) == 3
     assert GenPoly.const(True) == 1 and repr(GenPoly.const(True)) == "GenPoly(1)"
+    with pytest.raises(ValueError):
+        GenPoly.var("u") ** -1
+    assert (GenPoly.var("u") == "u") is False
+    # A name the stem-and-index pattern does not match sorts by itself.
+    assert (GenPoly.var("x_1") * GenPoly.var("u")).render() == "u*x_1"

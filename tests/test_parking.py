@@ -1,7 +1,6 @@
 """Parking algorithm, recognizers, car statistics, uniform sampler."""
 
 import random
-import tracemalloc
 from itertools import product
 from math import comb
 
@@ -20,26 +19,13 @@ from parkforest import (
 )
 from parkforest.bijection import unmap_trace
 
+from support import critical_by_simulation, peak_bytes
+
 prefseqs = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.lists(
         st.integers(min_value=1, max_value=n), min_size=n, max_size=n
     )
 )
-
-
-def critical_by_simulation(prefs):
-    """Cars that see no empty space to their right (within 1..n) as they park."""
-    n = len(prefs)
-    occupied = bytearray(n + 2)
-    crit = []
-    for c, p in enumerate(prefs, start=1):
-        s = p
-        while occupied[s]:
-            s += 1
-        occupied[s] = 1
-        if all(occupied[t] for t in range(s + 1, n + 1)):
-            crit.append(c)
-    return crit
 
 
 def test_park_golden():
@@ -303,13 +289,8 @@ def test_park_pileups_at_the_list_bound():
 
 
 def test_park_memory_does_not_grow_with_preference_values():
-    tracemalloc.start()
-    try:
-        assert park((10**8, 1)).slots == (10**8, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    assert park((10**8, 1)).slots == (10**8, 1)
+    assert peak_bytes(park, (10**8, 1)) < 1_000_000
 
 
 def sample_by_circle_probing(n, rng):

@@ -109,6 +109,8 @@ def test_oracles_share_no_code_with_the_map_cores():
     # independent parking side.  The generating polynomials (genpoly.py)
     # count both sides from their definitions, so they name no statistic
     # or enumerator either: each side of an identity has its own code.
+    # The inversion oracle's traversal lives in forest_stats.py itself, so
+    # it takes only the record and the validator from forest.py.
     cores = {"_claim_walk", "_layout", "_relabel", "_nearest_larger_right"}
     objects = {"forest_stats", "all_forests", "parking_stats", "all_parking_functions"}
     package = Path(parkforest.__file__).resolve().parent
@@ -123,5 +125,13 @@ def test_oracles_share_no_code_with_the_map_cores():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 named |= {a.name.rsplit(".", 1)[-1] for a in node.names}
         assert not named & cores, f"{name} names {sorted(named & cores)}"
+        if name == "forest_stats.py":
+            from_forest = {
+                a.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "forest"
+                for a in node.names
+            }
+            assert from_forest == {"Forest", "validate_forest"}, sorted(from_forest)
         if name == "genpoly.py":
             assert not named & objects, f"{name} names {sorted(named & objects)}"

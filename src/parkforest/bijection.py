@@ -4,8 +4,9 @@ Forward direction, forest to parking function:
 
   1. draw the forest canonically under the super-root n+1;
   2. overlay postorder positions and inversion counts on the tree;
-  3. relabel decreasingly (every label beats all labels below it) with
-     relabel_decreasing, remembering which vertex became which label;
+  3. relabel decreasingly (every label beats all labels below it) by
+     the split below, every vertex taking the top rank of its subtree,
+     remembering which vertex became which label;
   4. the car j = new label of v prefers position(v) - inversions(v).
      The super-root always yields preference 1 and is dropped.
 
@@ -16,8 +17,8 @@ Backward direction, parking function to forest:
   2. read off the space word and each car's jump;
   3. rebuild the decreasingly labeled tree: each car's parent is the
      nearest larger car to its right in the word;
-  4. undo the relabeling with inverse_relabel, which makes each vertex
-     take the (jump+1)-th smallest label of its subtree;
+  4. undo the relabeling by the same split, each vertex taking the
+     (jump+1)-th smallest label of its subtree;
   5. strip the super-root.
 
 Both relabelings process each vertex once, in any order, with the same
@@ -29,22 +30,25 @@ top rank (size - 1), and one top-down split does both.  Each vertex
 holds two aligned sorted lists, the names in its subtree and the labels
 they hold; it pops its label by rank, drops its name (at its inversion
 count), bisects the lighter children's entries out and hands the lists
-to its largest child, the vertex it sweeps next.  The lighter subtrees
-wait on a stack with lists of their own.  Two kinds of vertex skip the
-general step: one whose children are all leaves hands them the labels
-left in name order, and one with a heavy child and a leaf bisects the
-leaf out with no max taken.  An entry is bisected out only into a
-subtree at most half as large: O(n log n) interpreter steps in all.  The
-list shifts inside the pops run at C speed but can cost O(n) per vertex,
-so O(n^2) machine words on a path.
+to its largest child, the vertex it sweeps next.  One loop over the
+children keeps the largest so far and bisects out the lighter of it and
+each next child.  The lighter subtrees wait on a stack with lists of
+their own.  An only child takes the lists with nothing bisected, and
+children that are all leaves take the labels left in name order.  An
+entry is bisected out only into a subtree at most half as large:
+O(n log n) interpreter steps in all.  The list shifts inside the pops
+run at C speed but can cost O(n) per vertex, so O(n^2) machine words on
+a path.
 
 Forward, the map takes its drawing from forest._claim_walk, which
 canonical_order wraps into a tree.  That function walks up from each
 vertex, largest first, until a vertex already reached, so the child
 lists come out in canonical order with no sort and a cycle shows as a
 walk meeting itself.  forest._layout then gives the postorder, by one
-stack pass, and sizes and positions, by one pass over it; the
-relabelings read a given tree through it too.  The map then splits.
+stack pass, and sizes and positions, by one pass over it.  The map then
+splits.  The public relabelings check a given tree with
+forest._check_tree, lay it out once with _layout, and split it, or run
+the literal reference path when given a processing order.
 Backward, the space word lists the nearest-larger-right tree in
 postorder: one stack pass gives parent links and subtree sizes, and the
 word read backwards is the top-down order of the split.
@@ -62,7 +66,7 @@ from .errors import (
     MalformedInputError,
     NotParkingFunctionError,
 )
-from .forest import Forest, OrderedTree, _claim_walk, _layout, postorder
+from .forest import Forest, OrderedTree, _check_tree, _claim_walk, _layout
 from .forest_stats import subtree_label_lists
 from .parking import _park
 
@@ -108,14 +112,15 @@ def _relabel(
     forward map.  The targets are not checked.  po is a
     postorder ending in the root, so the subtree of v is
     po[end[v] - size[v]:end[v]].  Each vertex hands its lists to its
-    largest child, the vertex swept next.  Of the lighter children, a
-    leaf gets its label at once and a larger subtree waits on a stack
-    with lists of its own.  Two shortcuts come first: when every child
-    is a leaf, the lists hold just the children, which take the labels
-    in order; with two children, a heavy one and a leaf, the leaf is
-    bisected out and the heavy one is next.  Returns (labels, rank):
-    the label of each vertex, and the number of smaller vertices below
-    each.
+    largest child, the vertex swept next.  One loop over the children
+    finds it: it holds the largest child so far (the first, on a tie)
+    and splits off whichever of it and the next child is lighter.  A
+    leaf split off gets its label at once; a larger subtree waits on a
+    stack with lists of its own.  Two shortcuts come first: an only
+    child is next with nothing split off, and when every child is a
+    leaf, the lists hold just the children, which take the labels in
+    order.  Returns (labels, rank): the label of each vertex, and the
+    number of smaller vertices below each.
     """
     m = len(po)
     out = list(range(m + 1))
@@ -130,38 +135,28 @@ def _relabel(
             ch = children[v]
             k = len(ch)
             if k == 1:
-                v = ch[0]  # the largest child, with no max to take
+                v = ch[0]
                 continue
             if k == size[v] - 1:  # all leaves: names holds just them
                 for c, lab in zip(names, labels):
                     out[c] = lab
                 break
-            if k == 2:
-                big, c = ch
+            big = ch[0]
+            for c in ch[1:]:
                 if size[big] < size[c]:
                     big, c = c, big
-                if size[c] == 1:  # a heavy child and a leaf
-                    i = bisect_left(names, c)
-                    del names[i]
-                    out[c] = labels.pop(i)
-                    v = big
-                    continue
-            big = max(ch, key=size.__getitem__)
-            for c in ch:
-                if c == big:
-                    continue
                 if size[c] == 1:
                     i = bisect_left(names, c)
                     del names[i]
                     out[c] = labels.pop(i)
-                    continue
-                sub = sorted(po[end[c] - size[c] : end[c]])
-                mine = []
-                for u in sub:
-                    i = bisect_left(names, u)
-                    del names[i]
-                    mine.append(labels.pop(i))
-                stack.append((c, sub, mine))
+                else:
+                    sub = sorted(po[end[c] - size[c] : end[c]])
+                    mine = []
+                    for u in sub:
+                        i = bisect_left(names, u)
+                        del names[i]
+                        mine.append(labels.pop(i))
+                    stack.append((c, sub, mine))
             v = big
         else:
             out[v] = labels[0]  # a leaf, with one label left
@@ -179,12 +174,12 @@ def relabel_decreasing(
     result does not depend on the processing order.  It is
     inverse_relabel at the top rank: each vertex v asks for rank
     size(v) - 1 of its subtree, on the default path and with an order.
+    A malformed tree raises MalformedInputError.
 
     Returns labels with labels[v] the new label of vertex v (labels[0]
     is a sentinel 0).
     """
-    size = _layout(t.root, t.children, t.parent)[1]
-    return inverse_relabel(t, [s - 1 for s in size], order)
+    return _relabel_tree(t, None, order)
 
 
 def inverse_relabel(
@@ -195,49 +190,59 @@ def inverse_relabel(
     Processing vertex v hands it the (targets[v]+1)-th smallest current
     label in its subtree, so exactly targets[v] strict descendants of v
     end up below it; the remaining labels are redistributed over the
-    strict descendants order-preservingly.  Order independent.  A
-    target that is not an integer raises TypeError first.  By default
-    every target is then checked, in reversed postorder, and one split
-    relabels; a processing order given checks each target when it
-    processes its vertex.
+    strict descendants order-preservingly.  Order independent.  The
+    checks run in turn: the tree, the length of targets, each target
+    read as an integer (TypeError if it is not), a processing order if
+    given, and then each target's rank, in reversed postorder.  All but
+    the TypeError raise an InputError.
 
     Returns labels with labels[v] the recovered label of vertex v.
     """
+    return _relabel_tree(t, targets, order)
+
+
+def _relabel_tree(
+    t: OrderedTree, targets: Sequence[int] | None, order: Sequence[int] | None
+) -> tuple[int, ...]:
+    """Both public relabelings: check t, lay it out once, and relabel by
+    one split or, with an order, the literal reference path.  targets
+    None asks for the top rank at every vertex."""
+    _check_tree(t)
     m = t.root
-    if len(targets) != m + 1:
-        raise MalformedInputError(
-            f"need one target per vertex plus sentinel, got {len(targets)} for {m}"
-        )
-    targets = list(map(index, targets))
-    if order is None:
-        po, size, end = _layout(t.root, t.children, t.parent)
+    if targets is not None:
+        if len(targets) != m + 1:
+            raise MalformedInputError(
+                f"need one target per vertex plus sentinel, got {len(targets)} for {m}"
+            )
+        targets = list(map(index, targets))
+    if order is not None:
+        order = _as_permutation(order, m)
+        if order is None:
+            raise MalformedInputError(
+                f"processing order must visit each of 1..{m} exactly once"
+            )
+    po, size, end = _layout(m, t.children, t.parent)
+    if targets is None:
+        targets = [s - 1 for s in size]
+    else:
         for v in reversed(po):
             want = targets[v]
             if not 0 <= want < size[v]:
                 raise InvalidInversionValueError(
                     f"vertex {v} wants rank {want} in a subtree of size {size[v]}"
                 )
+    if order is None:
         return tuple(_relabel(t.children, size, end, po, targets)[0])
     # Reference path: literal order-preserving reassignment at each step.
-    order = _as_permutation(order, m)
-    if order is None:
-        raise MalformedInputError(
-            f"processing order must visit each of 1..{m} exactly once"
-        )
     cur = list(range(m + 1))
-    labels = subtree_label_lists(t.children, postorder(t))
+    labels = subtree_label_lists(t.children, po)
     for v in order:
         sub = labels[v]
-        want = targets[v]
-        if not 0 <= want < len(sub):
-            raise InvalidInversionValueError(
-                f"vertex {v} wants rank {want} in a subtree of size {len(sub)}"
-            )
         i = bisect_left(sub, v)
         desc = sub[:i] + sub[i + 1 :]
         pool = sorted(cur[u] for u in sub)
         by_current = sorted(desc, key=cur.__getitem__)
-        cur[v] = pool.pop(want)
+        cur[v] = pool.pop(targets[v])
         for u, val in zip(by_current, pool):
             cur[u] = val
     return tuple(cur)

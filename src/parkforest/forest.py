@@ -13,9 +13,11 @@ the maximum of its subtree, so each child joins its parent's list in
 canonical order, and a walk that meets itself has found a cycle.  One
 function, _layout, reads the postorder, subtree sizes and positions off
 any drawn tree, for the forward map and both relabelings; its stack pass
-is the one postorder wraps.  The inversion oracle, forest_stats, builds
-its own child lists with upward_children, so it shares no traversal with
-the drawing.
+is the one postorder wraps.  postorder, preorder and the relabelings
+first check the OrderedTree they are given with _check_tree; the maps
+draw their own trees and skip it.  The inversion oracle, forest_stats,
+builds its own child lists with upward_children, so it shares no
+traversal with the drawing.
 
 Forest and OrderedTree subclass collections.namedtuple, with empty __slots__.
 """
@@ -26,7 +28,12 @@ from collections import namedtuple
 from collections.abc import Sequence
 from operator import index
 
-from .errors import CycleError, OutOfRangeError, SelfParentError
+from .errors import (
+    CycleError,
+    MalformedInputError,
+    OutOfRangeError,
+    SelfParentError,
+)
 
 
 class Forest(namedtuple("Forest", "parent")):
@@ -51,6 +58,9 @@ class OrderedTree(namedtuple("OrderedTree", "root parent children")):
 
     parent[root] is 0 and parent[0] is an unused sentinel.  children[v]
     lists the children of v left to right; children[0] is empty.
+    Building one checks nothing.  postorder, preorder and the two
+    relabelings check the tree they are given with _check_tree and raise
+    MalformedInputError on a bad one.
     """
 
     __slots__ = ()
@@ -83,6 +93,41 @@ def validate_forest(parent: Sequence[int]) -> Forest:
         for u in path:
             state[u] = 2
     return Forest(parent)
+
+
+def _check_tree(t: OrderedTree) -> None:
+    """Raise MalformedInputError, naming a vertex, unless t is a plane
+    tree on 1..root: parent and children have root + 1 entries,
+    children[0] is empty, parent[root] is 0, and a pass down from the
+    root lists every other vertex exactly once, under the vertex its
+    parent entry names.  The pass stacks no vertex twice, so it ends on
+    any input, a cycle in the child lists included."""
+    m = index(t.root)
+    parent, children = t.parent, t.children
+    if m < 0 or len(parent) != m + 1 or len(children) != m + 1 or children[0]:
+        raise MalformedInputError(
+            f"a tree on 1..{m} needs {m + 1} parent and child entries"
+            " and no children of 0"
+        )
+    if parent[m] != 0:
+        raise MalformedInputError(f"root {m} has parent {parent[m]}, not 0")
+    seen = bytearray(m + 1)
+    stack = [m] if m else []
+    while stack:
+        v = stack.pop()
+        for c in children[v]:
+            if not 0 < c < m:
+                raise MalformedInputError(f"vertex {v} lists {c}, outside 1..{m - 1}")
+            if parent[c] != v:
+                raise MalformedInputError(
+                    f"vertex {v} lists {c}, whose parent is {parent[c]}"
+                )
+            if seen[c]:
+                raise MalformedInputError(f"vertex {v} lists {c} twice")
+            seen[c] = 1
+            stack.append(c)
+    if m and seen.count(1) != m - 1:
+        raise MalformedInputError(f"vertex {seen.index(0, 1)} is not below root {m}")
 
 
 def _claim_walk(parent: Sequence[int]) -> tuple:
@@ -161,11 +206,13 @@ def canonical_order(f: Forest) -> OrderedTree:
 
 def postorder(t: OrderedTree) -> tuple[int, ...]:
     """Vertices of a plane tree in postorder, children left to right."""
+    _check_tree(t)
     return tuple(_postorder(t.root, t.children))
 
 
 def preorder(t: OrderedTree) -> tuple[int, ...]:
     """Vertices of a plane tree in preorder, children left to right."""
+    _check_tree(t)
     out: list[int] = []
     stack = [t.root] if t.root else []
     children = t.children

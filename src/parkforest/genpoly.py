@@ -7,11 +7,12 @@ statistic distributions exactly, with no floating point anywhere.
 
 GenPoly(terms) is the one checked constructor, and const, var and
 monomial are short forms of it: it reads coefficients and exponents
-through operator.index, and a negative exponent is a ValueError.  Every
-polynomial comes out of one accumulator, _sum, which adds up (key,
-coefficient) pairs and drops zeros.  Arithmetic keeps integer
-coefficients and canonical keys by closure, so it is not checked again.
-An int operand is a constant; any other non-GenPoly operand a TypeError.
+through operator.index, a negative exponent is a ValueError, and a key
+that names a variable twice has its powers added.  Every polynomial
+comes out of one accumulator, _sum, which adds up (key, coefficient)
+pairs and drops zeros.  Arithmetic keeps integer coefficients and
+canonical keys by closure, so it is not checked again.  An int operand
+is a constant; any other non-GenPoly operand a TypeError.
 
 The generating polynomials tie the two worlds together:
 
@@ -91,15 +92,15 @@ def _by_name(item: tuple[str, int]) -> tuple[str, int, str]:
     return _var_sort_key(item[0])
 
 
-def _make_key(exponents: Mapping[str, int]) -> Key:
-    """The canonical key: the nonzero exponents in variable order."""
-    items = []
-    for v, e in exponents.items():
+def _make_key(pairs: Iterable[tuple[str, int]]) -> Key:
+    """The canonical key: each variable's powers added up, as _times
+    adds them, and the nonzero sums in variable order."""
+    powers: dict[str, int] = {}
+    for v, e in pairs:
         if (e := index(e)) < 0:
             raise ValueError("negative powers are not supported")
-        if e:
-            items.append((v, e))
-    return tuple(sorted(items, key=_by_name))
+        powers[v] = powers.get(v, 0) + e
+    return tuple(sorted(((v, e) for v, e in powers.items() if e), key=_by_name))
 
 
 def _times(k1: Key, k2: Key) -> Key:
@@ -139,7 +140,7 @@ class GenPoly:
     terms: dict[Key, int]
 
     def __new__(cls, terms: Mapping[Key, int] | None = None) -> "GenPoly":
-        return _sum((_make_key(dict(k)), index(c)) for k, c in (terms or {}).items())
+        return _sum((_make_key(k), index(c)) for k, c in (terms or {}).items())
 
     @classmethod
     def const(cls, c: int) -> "GenPoly":

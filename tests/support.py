@@ -1,13 +1,19 @@
 """Helpers the test modules share: a forest strategy, the deep shapes,
-a peak-memory probe, a best-of timer and the parking-time definition of
-critical cars.  The file name keeps it out of collection."""
+a peak-memory probe, a best-of timer, a bounded child-process run and
+the parking-time definition of critical cars.  The file name keeps it
+out of collection."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import parkforest
 from parkforest import Forest
 
 
@@ -81,6 +87,28 @@ def best_of(k, fn, *args):
         fn(*args)
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def run_bounded(code, seconds, max_bytes):
+    """Run the Python snippet code in a child process that imports this
+    parkforest, held to max_bytes of address space (RLIMIT_AS, set in
+    the child alone) and killed after seconds, which raises
+    subprocess.TimeoutExpired.  Returns the CompletedProcess, with its
+    output captured as text.  A snippet that would loop or grow without
+    bound fails in seconds, in a process of its own."""
+    src = str(Path(parkforest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    limit = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({max_bytes}, {max_bytes}))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", limit + code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+    )
 
 
 def critical_by_simulation(prefs):

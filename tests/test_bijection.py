@@ -40,7 +40,14 @@ from parkforest import bijection
 from parkforest.bijection import map_trace, unmap_trace
 from parkforest.forest import OrderedTree, _claim_walk, _layout
 
-from support import DEEP_SHAPES, best_of, deep_forest, forests, peak_bytes
+from support import (
+    DEEP_SHAPES,
+    best_of,
+    deep_forest,
+    forests,
+    peak_bytes,
+    run_bounded,
+)
 
 P14 = (10, 2, 6, 5, 7, 1, 13, 10, 4, 1, 14, 9, 11, 5)
 WORD14 = (6, 2, 10, 9, 4, 3, 5, 14, 12, 1, 8, 13, 7, 11, 15)
@@ -195,6 +202,82 @@ def test_relabelings_of_the_empty_tree():
     assert relabel_decreasing(t, preorder(t)) == (0,)
     assert inverse_relabel(t, (0,)) == inverse_relabel(t, (0,), ()) == (0,)
     assert inverse_relabel(t, (0,), postorder(t)) == (0,)
+
+
+def test_each_relabeling_lays_its_tree_out_once(monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return _layout(*args)
+
+    monkeypatch.setattr(bijection, "_layout", counting)
+    t = canonical_order(Forest((0, 1, 1, 3, 0)))
+    order = preorder(t)
+    targets = [0] * (t.root + 1)
+    for relabel in (
+        lambda: relabel_decreasing(t),
+        lambda: relabel_decreasing(t, order),
+        lambda: inverse_relabel(t, targets),
+        lambda: inverse_relabel(t, targets, order),
+    ):
+        calls = 0
+        relabel()
+        assert calls == 1
+
+
+# Each malformed tree and the error all four readers give, from one check
+# run before any traversal.
+MALFORMED_TREES = {
+    # 2 and 3 list each other, so a stack pass from the root never ends.
+    "cycle": (
+        OrderedTree(3, (0, 3, 3, 0), ((), (), (3,), (2,))),
+        "vertex 2 lists 3, outside 1..2",
+    ),
+    # A cycle apart from the root, which a pass from the root never sees.
+    "cycle_apart": (
+        OrderedTree(4, (0, 4, 3, 2, 0), ((), (), (3,), (2,), (1,))),
+        "vertex 2 is not below root 4",
+    ),
+    "unlisted": (
+        OrderedTree(2, (0, 2, 0), ((), (), ())),
+        "vertex 1 is not below root 2",
+    ),
+    "listed_twice": (
+        OrderedTree(3, (0, 3, 3, 0), ((), (), (), (1, 1, 2))),
+        "vertex 3 lists 1 twice",
+    ),
+    "root_not_top": (
+        OrderedTree(3, (0, 0, 1, 1), ((), (2, 3), (), ())),
+        "root 3 has parent 1, not 0",
+    ),
+    "out_of_range": (
+        OrderedTree(2, (0, 2, 0), ((), (), (1, 5))),
+        "vertex 2 lists 5, outside 1..1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TREES))
+def test_malformed_trees_are_rejected_by_every_reader(case):
+    # In a bounded child process: a reader that loops on the tree fails
+    # this test in seconds instead of stalling the suite.
+    tree, message = MALFORMED_TREES[case]
+    code = f"""
+from parkforest import *
+from parkforest.forest import OrderedTree
+t = {tree!r}
+for read in (postorder, preorder, relabel_decreasing,
+             lambda t: inverse_relabel(t, [0] * (t.root + 1))):
+    try:
+        print("returned", read(t))
+    except MalformedInputError as e:
+        print(e)
+"""
+    run = run_bounded(code, 10, 256 * 2**20)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [message] * 4
 
 
 def test_nearest_larger_right_tree_n14_shape():

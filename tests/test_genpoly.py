@@ -260,7 +260,7 @@ def evaluate(p, point):
 
 def assert_canonical(p):
     assert all(isinstance(c, int) and c for c in p.terms.values())
-    assert all(k == _make_key(dict(k)) for k in p.terms)
+    assert all(k == _make_key(k) for k in p.terms)
 
 
 @given(polys, polys, st.integers(-3, 3), st.integers(0, 3), points)
@@ -332,3 +332,12 @@ def test_entry_points_check_what_they_are_given():
     assert (GenPoly.var("u") == "u") is False
     # A name the stem-and-index pattern does not match sorts by itself.
     assert (GenPoly.var("x_1") * GenPoly.var("u")).render() == "u*x_1"
+    # A key that names a variable twice has its powers added, as a
+    # product would, each power checked first.
+    u3 = GenPoly.var("u", 3)
+    assert GenPoly({(("u", 1), ("u", 2)): 3}) == 3 * u3
+    assert GenPoly({(("u", 2), ("u", 1)): 3}) == 3 * u3
+    with pytest.raises(ValueError):
+        GenPoly({(("u", -1), ("u", 2)): 3})
+    with pytest.raises(TypeError):
+        GenPoly({(("u", 2.0), ("u", 1)): 3})

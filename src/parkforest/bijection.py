@@ -44,11 +44,11 @@ Forward, the map takes its drawing from forest._claim_walk, which
 canonical_order wraps into a tree.  That function walks up from each
 vertex, largest first, until a vertex already reached, so the child
 lists come out in canonical order with no sort and a cycle shows as a
-walk meeting itself.  forest._layout then gives the postorder, by one
-stack pass, and sizes and positions, by one pass over it.  The map then
-splits.  The public relabelings check a given tree with
-forest._check_tree, lay it out once with _layout, and split it, or run
-the literal reference path when given a processing order.
+walk meeting itself.  forest._postorder gives the postorder, by one
+stack pass, and forest._layout sizes and positions, by one pass over
+it.  The map then splits.  The public relabelings lay out and split
+the postorder forest._check_tree returns from its one pass checking a
+given tree, or run the literal reference path when given an order.
 Backward, the space word lists the nearest-larger-right tree in
 postorder: one stack pass gives parent links and subtree sizes, and the
 word read backwards is the top-down order of the split.
@@ -66,7 +66,7 @@ from .errors import (
     MalformedInputError,
     NotParkingFunctionError,
 )
-from .forest import Forest, OrderedTree, _check_tree, _claim_walk, _layout
+from .forest import Forest, OrderedTree, _check_tree, _claim_walk, _layout, _postorder
 from .forest_stats import subtree_label_lists
 from .parking import _park
 
@@ -204,10 +204,10 @@ def inverse_relabel(
 def _relabel_tree(
     t: OrderedTree, targets: Sequence[int] | None, order: Sequence[int] | None
 ) -> tuple[int, ...]:
-    """Both public relabelings: check t, lay it out once, and relabel by
-    one split or, with an order, the literal reference path.  targets
-    None asks for the top rank at every vertex."""
-    _check_tree(t)
+    """Both public relabelings: check t, lay out the postorder the check
+    returns, and relabel by one split or, with an order, the literal
+    reference path.  targets None asks for the top rank at every vertex."""
+    po = _check_tree(t)
     m = t.root
     if targets is not None:
         if len(targets) != m + 1:
@@ -221,7 +221,7 @@ def _relabel_tree(
             raise MalformedInputError(
                 f"processing order must visit each of 1..{m} exactly once"
             )
-    po, size, end = _layout(m, t.children, t.parent)
+    size, end = _layout(po, t.parent)
     if targets is None:
         targets = [s - 1 for s in size]
     else:
@@ -258,7 +258,8 @@ def _forward(f: Forest) -> tuple:
     """
     up, children = _claim_walk(f.parent)
     m = len(up) - 1
-    po, size, pos = _layout(m, children, up)
+    po = _postorder(m, children)
+    size, pos = _layout(po, up)
     newlab, inv = _relabel(children, size, pos, po, [-1] * (m + 1))
     # The super-root keeps label n+1 and, last in postorder with n
     # inversions, would prefer space 1; that car carries no information.

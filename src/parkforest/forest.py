@@ -11,13 +11,12 @@ drawing into an OrderedTree, and bijection._forward relabels it.  It
 sorts nothing: walks up from u = n, ..., 1 reach each vertex first from
 the maximum of its subtree, so each child joins its parent's list in
 canonical order, and a walk that meets itself has found a cycle.  One
-function, _layout, reads the postorder, subtree sizes and positions off
-any drawn tree, for the forward map and both relabelings; its stack pass
-is the one postorder wraps.  postorder, preorder and the relabelings
-first check the OrderedTree they are given with _check_tree; the maps
-draw their own trees and skip it.  The inversion oracle, forest_stats,
-builds its own child lists with upward_children, so it shares no
-traversal with the drawing.
+function, _layout, reads subtree sizes and positions off a postorder:
+the forward map gives it _postorder's pass over the tree it drew, and
+the relabelings the order _check_tree returns, which postorder returns
+too, so each checked reader but preorder walks its tree once.  The
+inversion oracle, forest_stats, builds its own child lists with
+upward_children, so it shares no traversal with the drawing.
 
 Forest and OrderedTree subclass collections.namedtuple, with empty __slots__.
 """
@@ -95,13 +94,13 @@ def validate_forest(parent: Sequence[int]) -> Forest:
     return Forest(parent)
 
 
-def _check_tree(t: OrderedTree) -> None:
-    """Raise MalformedInputError, naming a vertex, unless t is a plane
-    tree on 1..root: parent and children have root + 1 entries,
-    children[0] is empty, parent[root] is 0, and a pass down from the
-    root lists every other vertex exactly once, under the vertex its
-    parent entry names.  The pass stacks no vertex twice, so it ends on
-    any input, a cycle in the child lists included."""
+def _check_tree(t: OrderedTree) -> list[int]:
+    """The postorder of t, children left to right, if t is a plane tree
+    on 1..root: parent and children have root + 1 entries, children[0]
+    is empty, parent[root] is 0, and a pass down from the root lists
+    every other vertex once, under the vertex its parent entry names.
+    Else MalformedInputError, naming a vertex.  The pass pops vertices in
+    reversed postorder and stacks none twice, so it ends on any input."""
     m = index(t.root)
     parent, children = t.parent, t.children
     if m < 0 or len(parent) != m + 1 or len(children) != m + 1 or children[0]:
@@ -113,8 +112,10 @@ def _check_tree(t: OrderedTree) -> None:
         raise MalformedInputError(f"root {m} has parent {parent[m]}, not 0")
     seen = bytearray(m + 1)
     stack = [m] if m else []
+    po: list[int] = []
     while stack:
         v = stack.pop()
+        po.append(v)
         for c in children[v]:
             if not 0 < c < m:
                 raise MalformedInputError(f"vertex {v} lists {c}, outside 1..{m - 1}")
@@ -126,8 +127,9 @@ def _check_tree(t: OrderedTree) -> None:
                 raise MalformedInputError(f"vertex {v} lists {c} twice")
             seen[c] = 1
             stack.append(c)
-    if m and seen.count(1) != m - 1:
+    if len(po) != m:
         raise MalformedInputError(f"vertex {seen.index(0, 1)} is not below root {m}")
+    return po[::-1]
 
 
 def _claim_walk(parent: Sequence[int]) -> tuple:
@@ -181,40 +183,39 @@ def _postorder(root: int, children: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-def _layout(root: int, children: Sequence, parent: Sequence[int]) -> tuple:
-    """(po, size, end) of a drawn tree on 1..root with parent[root] = 0:
-    its postorder po and, per vertex, the subtree size and 1-based
-    position in po, so the subtree of v is po[end[v] - size[v]:end[v]]."""
-    po = _postorder(root, children)
-    size = [1] * (root + 1)
-    end = [0] * (root + 1)
+def _layout(po: Sequence[int], parent: Sequence[int]) -> tuple:
+    """(size, end) of a drawn tree with parent[po[-1]] = 0, given its
+    postorder po: per vertex, the subtree size and 1-based position in
+    po, so the subtree of v is po[end[v] - size[v]:end[v]]."""
+    size = [1] * (len(po) + 1)
+    end = [0] * (len(po) + 1)
     for i, v in enumerate(po, start=1):
         size[parent[v]] += size[v]
         end[v] = i
-    return po, size, end
+    return size, end
 
 
 def canonical_order(f: Forest) -> OrderedTree:
     """The canonical drawing of f under a super-root labeled n+1.
 
     The forest roots become the children of n+1.  Every child list, the
-    roots included, is sorted by decreasing subtree maximum.
+    roots included, is sorted by decreasing subtree maximum.  Entries are ints.
     """
     up, children = _claim_walk(f.parent)
-    return OrderedTree(len(up) - 1, tuple(up), tuple(map(tuple, children)))
+    # The walk indexed a list by every entry, so index reads each one.
+    children = tuple([tuple(map(index, ch)) for ch in children])
+    return OrderedTree(len(up) - 1, tuple(map(index, up)), children)
 
 
 def postorder(t: OrderedTree) -> tuple[int, ...]:
     """Vertices of a plane tree in postorder, children left to right."""
-    _check_tree(t)
-    return tuple(_postorder(t.root, t.children))
+    return tuple(_check_tree(t))
 
 
 def preorder(t: OrderedTree) -> tuple[int, ...]:
     """Vertices of a plane tree in preorder, children left to right."""
-    _check_tree(t)
     out: list[int] = []
-    stack = [t.root] if t.root else []
+    stack = _check_tree(t)[-1:]  # the root, if any
     children = t.children
     while stack:
         v = stack.pop()

@@ -72,9 +72,8 @@ def inversion_counts(
     children may cover a forest (children[0] = roots, ignored here) or a
     single tree; order must visit every vertex after all its children.
     """
-    m = len(children) - 1
-    inv = [0] * (m + 1)
-    labels: list = [None] * (m + 1)  # sorted subtree label lists, freed as used
+    inv = [0] * len(children)
+    labels: list = [None] * len(children)  # sorted subtree label lists, freed as used
     for v in order:
         ch = children[v]
         if ch:
@@ -114,8 +113,7 @@ def subtree_label_lists(
     Unlike inversion_counts this keeps every list alive, which is what the
     literal reference path of the relabelings needs.
     """
-    m = len(children) - 1
-    labels: list = [None] * (m + 1)
+    labels: list = [None] * len(children)
     for v in order:
         merged = [v]
         for c in children[v]:

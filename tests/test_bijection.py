@@ -36,9 +36,15 @@ from parkforest import (
     verify_bijection,
     verify_random,
 )
-from parkforest import bijection
+from parkforest import bijection, forest
 from parkforest.bijection import map_trace, unmap_trace
-from parkforest.forest import OrderedTree, _claim_walk, _layout
+from parkforest.forest import (
+    OrderedTree,
+    _check_tree,
+    _claim_walk,
+    _layout,
+    _postorder,
+)
 
 from support import (
     DEEP_SHAPES,
@@ -225,6 +231,52 @@ def test_each_relabeling_lays_its_tree_out_once(monkeypatch):
         calls = 0
         relabel()
         assert calls == 1
+
+
+def test_each_checked_reader_walks_its_tree_once(monkeypatch):
+    # The check's pass returns the postorder, so no reader runs
+    # _postorder's pass over the tree after it.
+    checks = walks = 0
+
+    def checking(t):
+        nonlocal checks
+        checks += 1
+        return _check_tree(t)
+
+    def walking(*args):
+        nonlocal walks
+        walks += 1
+        return _postorder(*args)
+
+    t = canonical_order(Forest((0, 1, 1, 3, 0)))
+    order = preorder(t)
+    targets = [0] * (t.root + 1)
+    for module in (forest, bijection):
+        monkeypatch.setattr(module, "_check_tree", checking)
+        monkeypatch.setattr(module, "_postorder", walking)
+    for read in (
+        lambda: postorder(t),
+        lambda: relabel_decreasing(t),
+        lambda: relabel_decreasing(t, order),
+        lambda: inverse_relabel(t, targets),
+        lambda: inverse_relabel(t, targets, order),
+    ):
+        checks = walks = 0
+        read()
+        assert (checks, walks) == (1, 0)
+
+
+def test_check_tree_returns_the_postorder():
+    # On the drawings of all small forests and the nearest-larger-right
+    # trees of all small parking functions.
+    trees = [canonical_order(f) for n in range(7) for f in all_forests(n)]
+    trees += [
+        nearest_larger_right_tree(unmap_trace(p)["word"])
+        for n in range(6)
+        for p in all_parking_functions(n)
+    ]
+    for t in trees:
+        assert _check_tree(t) == _postorder(t.root, t.children), t
 
 
 # Each malformed tree and the error all four readers give, from one check
@@ -651,7 +703,8 @@ def test_canonical_drawing_matches_brute_force():
         up, got = _claim_walk(f.parent)
         assert got == children, f
         assert up == [0, *(p or m for p in f.parent), 0], f
-        got_po, got_size, got_pos = _layout(m, got, up)
+        got_po = _postorder(m, got)
+        got_size, got_pos = _layout(got_po, up)
         assert got_po == po, f
         assert got_size[1:] == size[1:] and got_pos[1:] == pos[1:], f
         t = canonical_order(f)

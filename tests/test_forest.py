@@ -1,10 +1,13 @@
 """Forest construction, validation, canonical order, super-root."""
 
+import enum
+
 import pytest
 from hypothesis import given
 
 from parkforest import (
     CycleError,
+    Forest,
     OutOfRangeError,
     SelfParentError,
     all_forests,
@@ -111,6 +114,18 @@ def test_postorder_respects_drawing_order():
     f = validate_forest([0, 0, 2])  # roots ordered 2, 1
     t = canonical_order(f)
     assert postorder(t) == (3, 2, 1, 4)
+
+
+def test_canonical_order_reads_integer_like_parents_as_ints():
+    class V(enum.IntEnum):
+        ONE = 1
+
+    t = canonical_order(Forest((0, True, V.ONE)))
+    plain = canonical_order(Forest((0, 1, 1)))
+    assert repr(t) == repr(plain)
+    entries = [*t.parent, *(c for ch in t.children for c in ch), *postorder(t)]
+    entries += preorder(t)
+    assert all(type(v) is int for v in entries)
 
 
 @given(forests())

@@ -1,6 +1,7 @@
 """The public names, the module functions the benchmark traces by name,
 no unused imports in the package modules, the tests, the demos and the
-benchmark, and the oracles' independence from the map cores."""
+benchmark, no assert statement in the package, and the oracles'
+independence from the map cores."""
 
 import ast
 import importlib
@@ -97,6 +98,15 @@ def test_modules_use_every_name_they_import():
                 imported |= {a.asname or a.name for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def test_package_checks_invariants_without_assert():
+    # An invariant in the package is a real check that raises an error:
+    # an assert statement vanishes under python -O.
+    for path in sorted(Path(parkforest.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, f"{path.name} asserts on lines {lines}"
 
 
 def test_oracles_share_no_code_with_the_map_cores():

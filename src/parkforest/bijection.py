@@ -40,15 +40,14 @@ O(n log n) interpreter steps in all.  The list shifts inside the pops
 run at C speed but can cost O(n) per vertex, so O(n^2) machine words on
 a path.
 
-Forward, the map takes its drawing from forest._claim_walk, which
-canonical_order wraps into a tree.  That function walks up from each
-vertex, largest first, until a vertex already reached, so the child
-lists come out in canonical order with no sort and a cycle shows as a
-walk meeting itself.  forest._postorder gives the postorder, by one
-stack pass, and forest._layout sizes and positions, by one pass over
-it.  The map then splits.  The public relabelings lay out and split
-the postorder forest._check_tree returns from its one pass checking a
-given tree, or run the literal reference path when given an order.
+Forward, the map relabels the canonical drawing, made as
+canonical_order makes it: the child lists come out in canonical order
+with no sort, and a cycle in the parent sequence is found while
+drawing.  One stack pass gives the postorder of the drawing, and one
+pass over that the subtree sizes and positions; the map then splits.
+The public relabelings check a given tree by one pass that also yields
+its postorder, and lay out and split that, or run the literal reference
+path when given an order.
 Backward, the space word lists the nearest-larger-right tree in
 postorder: one stack pass gives parent links and subtree sizes, and the
 word read backwards is the top-down order of the split.
@@ -223,7 +222,7 @@ def _relabel_tree(
             )
     size, end = _layout(po, t.parent)
     if targets is None:
-        targets = [s - 1 for s in size]
+        targets = [-1] * (m + 1)
     else:
         for v in reversed(po):
             want = targets[v]

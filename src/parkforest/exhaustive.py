@@ -19,13 +19,15 @@ the checks per forest are
               inv_total = C(n+1,2) - sum of preferences)
 
 plus, across the whole run, that no two forests map to the same parking
-function and that the image count equals the independent enumeration.
+function and that the images are exactly the independent enumeration.
 The reverse direction (every parking function maps back and forth to
 itself) is checked explicitly against the enumeration, without mapping
 again: the forest pass keeps a table from each image p = F(f) to whether
-G(p) = f held.  Every enumerated parking function must be in that table,
-and where the round trip held, F(G(p)) = F(f) = p follows.  Only a p
-whose forest failed its round trip is mapped back and forth once more.
+G(p) = f held.  Each enumerated parking function takes its own entry out
+of that table, and where the round trip held, F(G(p)) = F(f) = p
+follows.  An enumerated p with no entry left, and an entry that no p
+took out, is one roundtrip failure each.  Only a p whose forest failed
+its round trip is mapped back and forth once more.
 
 The forest pass runs in stages over blocks of about 384 vertices (64
 forests at n = 5): the forward map on every forest of a block, the
@@ -165,9 +167,8 @@ def all_forests(n: int, first_parent: int | None = None) -> Iterator[Forest]:
             return
         if heads:
             heads[0] = (first_parent,)
-    reachers = _root_reachers
     for head in itertools.product(*heads):
-        lasts = reachers(head, n)
+        lasts = _root_reachers(head, n)
         if lasts is not None:
             for p in lasts:
                 yield _new(Forest, (head + (p,),))
@@ -355,13 +356,15 @@ def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
             )
     else:
         forests, bad_round, bad_stats, hits, table = _merge([_verify_slice((n, None))])
-    # Distinctness and coverage: injectivity plus an image count matching
-    # the independent enumeration makes the map onto.
+    # Distinctness and coverage: injectivity, and the images and the
+    # independent enumeration matched both ways, make the map onto.  Each
+    # enumerated p takes its entry out, so what is left is an image the
+    # enumeration missed, and a p listed twice finds no entry.
     bad_round += hits - len(table)
     pf_count = 0
     for p in all_parking_functions(n):
         pf_count += 1
-        held = table.get(p)
+        held = table.pop(p, None)
         if held is None:
             bad_round += 1
         elif not held:
@@ -371,6 +374,7 @@ def verify_bijection(n: int, jobs: int | None = None) -> VerificationReport:
             again, _ = forest_to_parking(back)
             if again != p:
                 bad_round += 1
+    bad_round += len(table)
     elapsed = int(round((time.perf_counter() - start) * 1000))
     return VerificationReport(
         n=n,

@@ -7,7 +7,7 @@ drawing hangs the forest under a super-root n+1, which adopts the roots,
 and draws every child list by decreasing subtree maximum; that order is
 what makes the forest-to-parking-function map injective.  One function,
 _claim_walk, draws it for both of its callers: canonical_order wraps the
-drawing into an OrderedTree, and bijection._forward relabels it.  It
+drawing into an OrderedTree, and the forward map relabels it.  It
 sorts nothing: walks up from u = n, ..., 1 reach each vertex first from
 the maximum of its subtree, so each child joins its parent's list in
 canonical order, and a walk that meets itself has found a cycle.  One
@@ -95,11 +95,13 @@ def validate_forest(parent: Sequence[int]) -> Forest:
 
 
 def _check_tree(t: OrderedTree) -> list[int]:
-    """The postorder of t, children left to right, if t is a plane tree
-    on 1..root: parent and children have root + 1 entries, children[0]
-    is empty, parent[root] is 0, and a pass down from the root lists
-    every other vertex once, under the vertex its parent entry names.
-    Else MalformedInputError, naming a vertex.  The pass pops vertices in
+    """The postorder of t, children left to right, as ints, if t is a
+    plane tree on 1..root: parent and children have root + 1 entries,
+    children[0] is empty, parent[root] is 0, and a pass down from the
+    root lists every other vertex once, under the vertex its parent entry
+    names.  Else MalformedInputError, naming a vertex.  Each entry the
+    pass reads, the root's parent included, goes through operator.index,
+    so a non-integer one is a TypeError there.  The pass pops vertices in
     reversed postorder and stacks none twice, so it ends on any input."""
     m = index(t.root)
     parent, children = t.parent, t.children
@@ -108,8 +110,8 @@ def _check_tree(t: OrderedTree) -> list[int]:
             f"a tree on 1..{m} needs {m + 1} parent and child entries"
             " and no children of 0"
         )
-    if parent[m] != 0:
-        raise MalformedInputError(f"root {m} has parent {parent[m]}, not 0")
+    if (p := index(parent[m])) != 0:
+        raise MalformedInputError(f"root {m} has parent {p}, not 0")
     seen = bytearray(m + 1)
     stack = [m] if m else []
     po: list[int] = []
@@ -117,12 +119,11 @@ def _check_tree(t: OrderedTree) -> list[int]:
         v = stack.pop()
         po.append(v)
         for c in children[v]:
+            c = index(c)
             if not 0 < c < m:
                 raise MalformedInputError(f"vertex {v} lists {c}, outside 1..{m - 1}")
-            if parent[c] != v:
-                raise MalformedInputError(
-                    f"vertex {v} lists {c}, whose parent is {parent[c]}"
-                )
+            if (p := index(parent[c])) != v:
+                raise MalformedInputError(f"vertex {v} lists {c}, whose parent is {p}")
             if seen[c]:
                 raise MalformedInputError(f"vertex {v} lists {c} twice")
             seen[c] = 1
@@ -172,13 +173,10 @@ def _postorder(root: int, children: Sequence[Sequence[int]]) -> list[int]:
     one stack pass.  Root 0, the tree with no vertex, has none."""
     out: list[int] = []
     stack = [root] if root else []
-    pop = stack.pop
-    append = out.append
-    extend = stack.extend
     while stack:
-        v = pop()
-        append(v)
-        extend(children[v])
+        v = stack.pop()
+        out.append(v)
+        stack.extend(children[v])
     out.reverse()
     return out
 
@@ -223,4 +221,4 @@ def preorder(t: OrderedTree) -> tuple[int, ...]:
         ch = children[v]
         if ch:
             stack.extend(reversed(ch))
-    return tuple(out)
+    return tuple(map(index, out))  # integer-like entries as the check read them

@@ -277,7 +277,6 @@ def _parking_counts(n: int) -> Counter:
     states = {(0, 0, 0): 1}
     for _ in prefs:
         after: dict[tuple[int, int, int], int] = {}
-        get = after.get
         for (taken, crit, code), count in states.items():
             for p in prefs:
                 # The car parks at the first free space from p on.
@@ -288,7 +287,7 @@ def _parking_counts(n: int) -> Counter:
                 bit = 1 << (s - 1)
                 # Every car parked left of s stops being critical.
                 state = (taken | bit, (crit & -bit) | bit, code + digit[s - p])
-                after[state] = get(state, 0) + count
+                after[state] = after.get(state, 0) + count
         states = after
     counts: Counter = Counter()
     for (_, crit, code), count in states.items():
@@ -317,15 +316,13 @@ def _forest_counts(n: int) -> Counter:
     forests: list[dict[int, int]] = [{0: 1}]  # by size: key code -> count
     for k in range(1, base):
         tree: dict[int, int] = {}
-        get = tree.get
         for code, count in forests[k - 1].items():
             code %= mark  # the children's components are not the tree's
             for j in range(k):
                 key = code + digit[j]
-                tree[key] = get(key, 0) + count
+                tree[key] = tree.get(key, 0) + count
         trees.append(tree)
         forest: dict[int, int] = {}
-        get = forest.get
         for j in range(1, k + 1):
             ways = comb(k - 1, j - 1)
             rest = forests[k - j].items()
@@ -334,7 +331,7 @@ def _forest_counts(n: int) -> Counter:
                 ca *= ways
                 for b, cb in rest:
                     key = a + b
-                    forest[key] = get(key, 0) + ca * cb
+                    forest[key] = forest.get(key, 0) + ca * cb
         forests.append(forest)
     counts: Counter = Counter()
     for code, count in forests[n].items():

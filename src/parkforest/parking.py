@@ -108,7 +108,6 @@ def _park(prefs: Sequence[int]) -> list[int]:
     n = len(prefs)
     nxt = [0] * (3 * n + 2) if not n or max(prefs) <= 2 * n else defaultdict(int)
     slots = []
-    append = slots.append
     for p in prefs:
         s = p
         if nxt[s]:  # taken: find the first free space, then compress
@@ -117,7 +116,7 @@ def _park(prefs: Sequence[int]) -> list[int]:
             while p != s:
                 nxt[p], p = s + 1, nxt[p]
         nxt[s] = s + 1
-        append(s)
+        slots.append(s)
     return slots
 
 

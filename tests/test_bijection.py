@@ -332,6 +332,34 @@ for read in (postorder, preorder, relabel_decreasing,
     assert run.stdout.splitlines() == [message] * 4
 
 
+def test_checked_readers_read_tree_entries_as_ints():
+    # An integer-like child entry comes back as an int.
+    t = OrderedTree(2, (0, 2, 0), ((), (), (True,)))
+    for got in (postorder(t), preorder(t)):
+        assert sorted(got) == [1, 2] and {type(v) for v in got} == {int}
+    # A non-integer entry is a TypeError from the check, for all four
+    # readers alike, ahead of any target or order check: a float parent
+    # entry equal to the vertex listing it, a root's parent 0.0 and a
+    # float child entry.
+    bad = [
+        OrderedTree(2, (0, 2.0, 0), ((), (), (1,))),
+        OrderedTree(1, (0, 0.0), ((), ())),
+        OrderedTree(2, (0, 2, 0), ((), (), (1.0,))),
+    ]
+    for t in bad:
+        for read in (
+            postorder,
+            preorder,
+            relabel_decreasing,
+            lambda t: relabel_decreasing(t, [t.root + 5]),
+            lambda t: inverse_relabel(t, [0] * (t.root + 1)),
+            lambda t: inverse_relabel(t, [0]),
+            lambda t: inverse_relabel(t, [0, 9, 9][: t.root + 1]),
+        ):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                read(t)
+
+
 def test_nearest_larger_right_tree_n14_shape():
     t = nearest_larger_right_tree(WORD14)
     assert t.children[15] == (14, 13, 11)

@@ -250,6 +250,32 @@ def test_split_sweep_counts_collisions_across_slices(monkeypatch, serial_pool):
     assert serial.roundtrip_failures > 0
 
 
+@pytest.mark.parametrize("jobs", [None, 2])
+@pytest.mark.parametrize("edit", ["drop", "repeat"])
+def test_sweep_matches_images_and_enumeration_both_ways(
+    serial_pool, monkeypatch, edit, jobs
+):
+    # An enumeration that misses a parking function, or lists one twice,
+    # is one roundtrip failure: every image must be enumerated, and every
+    # enumerated parking function must be an image once.
+    real = ex.all_parking_functions
+
+    def edited(n):
+        pfs = list(real(n))
+        if edit == "drop":
+            del pfs[3]
+        else:
+            pfs.insert(4, pfs[3])
+        return iter(pfs)
+
+    monkeypatch.setattr(ex, "all_parking_functions", edited)
+    report = verify_bijection(4, jobs=jobs)
+    assert serial_pool == ([2] if jobs else [])
+    assert report.forest_count == 125 and report.stat_mismatches == 0
+    assert report.parking_function_count == (124 if edit == "drop" else 126)
+    assert report.roundtrip_failures == 1 and not report.ok
+
+
 def test_verify_random_clean_and_seeded():
     a = verify_random(30, 50, seed=11)
     b = verify_random(30, 50, seed=11)

@@ -145,3 +145,44 @@ def test_oracles_share_no_code_with_the_map_cores():
             assert from_forest == {"Forest", "validate_forest"}, sorted(from_forest)
         if name == "genpoly.py":
             assert not named & objects, f"{name} names {sorted(named & objects)}"
+
+
+def test_every_private_module_name_has_a_reader():
+    # Code with no caller goes: a module-level private name (a function,
+    # class or constant) that no other statement of the package reads is
+    # dead.  A reference from its own body, as in a recursion, does not
+    # count.  The tests do not count either, so a helper kept only for
+    # them fails here.
+    package = Path(parkforest.__file__).resolve().parent
+    defined = {}  # (module, name) -> the statement binding it
+    reads = []  # (statement, the names it reads or imports)
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = [
+                    n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+                ]
+            else:
+                bound = []
+            for name in bound:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[(path.name, name)] = stmt
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read |= {a.name for a in node.names}
+            reads.append((stmt, read))
+    assert len({name for _, name in defined}) >= 50, sorted(defined)
+    dead = [
+        f"{module}: {name}"
+        for (module, name), stmt in defined.items()
+        if not any(name in read for other, read in reads if other is not stmt)
+    ]
+    assert not dead, dead
